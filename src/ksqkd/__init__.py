@@ -7,11 +7,9 @@ Modules:
     adversary -- classical ball attack and intercept-resend
     protocol  -- round generation, sifting, certification, key extraction
     cli       -- verify / analyze / simulate / sweep commands
-    kernel    -- compiled or pure-Python Monte Carlo round loop
+    kernel    -- exact outcome tables and the vectorized NumPy round kernel
 """
-
-from .kernel import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
 
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

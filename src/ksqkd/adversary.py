@@ -11,6 +11,10 @@ Intercept-resend has Eve measure in a uniformly random KS basis and
 forward the obtained eigenstate; full enumeration with exact Born
 weights gives its error rates, all of which land above the 1/9
 certification threshold.
+
+The per-round behaviour of both attacks lives in the round kernel
+(``kernel.simulate_rounds``); this module holds their specification and
+their exact expected rates.
 """
 
 from __future__ import annotations
@@ -20,19 +24,8 @@ from fractions import Fraction
 
 from . import qcore
 from .ksset import KSSet, SymbolAssignment
-from .qcore import Ray
 
 ADVERSARY_KINDS = ("none", "ball", "intercept_resend")
-
-
-@dataclass(frozen=True)
-class BallAttackStrategy:
-    assignment: SymbolAssignment
-
-
-@dataclass(frozen=True)
-class InterceptResendStrategy:
-    """Eve measures in a basis drawn uniformly from the set's nine."""
 
 
 @dataclass(frozen=True)
@@ -47,30 +40,8 @@ class AdversarySpec:
             raise ValueError("ball adversary requires a symbol assignment")
 
 
-def ball_attack_outcome(
-    ks: KSSet,
-    ball: int,
-    alice_basis: str,
-    bob_basis: str,
-    strategy: BallAttackStrategy,
-    rand: float,
-) -> int:
-    """Symbol Bob reads off a classical ball.
-
-    In a home basis the ball shows its assigned symbol; anywhere else the
-    readout is uniform random, which is observationally irrelevant since
-    such rounds never survive sifting.
-    """
-    if ks.basis(alice_basis) is None or ball not in ks.basis(alice_basis).members:
-        raise ValueError(f"ball {ball} is not a member of basis {alice_basis}")
-    homes = {lab for lab, _ in ks.incidence[ball]}
-    if bob_basis in homes:
-        return strategy.assignment.symbol(bob_basis, ks.position(ball, bob_basis))
-    return int(rand * 4) + 1
-
-
 def expected_ball_attack_stats(
-    ks: KSSet, strategy: BallAttackStrategy
+    ks: KSSet, assignment: SymbolAssignment
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Analytic (w_same, w_cross, w_overall) under uniform basis/state draws.
 
@@ -81,25 +52,10 @@ def expected_ball_attack_stats(
     """
     from .ksset import defective_vectors
 
-    d = len(defective_vectors(ks, strategy.assignment))
+    d = len(defective_vectors(ks, assignment))
     n = len(ks.vectors)
     w_cross = Fraction(d, n)
     return Fraction(0), w_cross, w_cross / 2
-
-
-def intercept_resend_transform(
-    ks: KSSet, state: Ray, rand_basis: float, rand_outcome: float
-) -> tuple[str, int, Ray]:
-    """One intercept-resend interaction.
-
-    Eve picks a uniform basis, measures by Born inverse-CDF, and forwards
-    the eigenstate of her outcome.  Returns (basis label, outcome, ray).
-    """
-    labels = [b.label for b in ks.bases]
-    label = labels[int(rand_basis * len(labels))]
-    basis = ks.meas_basis(label)
-    outcome = qcore.sample_outcome(state, basis, rand_outcome)
-    return label, outcome, basis.rays[outcome - 1]
 
 
 def exact_intercept_resend_w(

@@ -1,11 +1,12 @@
 """Transmission noise: a one-parameter depolarizing channel.
 
-Two equivalent realizations are provided.  The sampling form marks a
-round as "depolarized" with probability p, after which the measurement
-outcome is uniform over the four detectors regardless of basis; the
-density form applies rho -> (1-p) rho + p I/4.  For the depolarizing
-channel these give identical outcome statistics, which keeps the Monte
-Carlo round loop pure-state.
+Two equivalent realizations exist.  The sampling form, which the round
+kernel (``kernel.simulate_rounds``) applies, marks a round as
+"depolarized" with probability p, after which the measurement outcome is
+uniform over the four detectors regardless of basis; the density form
+here applies rho -> (1-p) rho + p I/4.  For the depolarizing channel
+these give identical outcome statistics, which keeps the Monte Carlo
+round loop pure-state.
 
 The single error figure the protocol cares about is w, the probability
 of a wrong state identification given a correct-basis measurement.  For
@@ -54,13 +55,6 @@ class DensityOperator:
     def from_pure(ray) -> "DensityOperator":
         v = ray.amps.reshape(4, 1)
         return DensityOperator(v @ v.conj().T)
-
-
-def apply_noise_sampling(spec: NoiseSpec, rand: float) -> bool:
-    """Sampling form: True means this round's state was depolarized."""
-    if spec.kind == "none":
-        return False
-    return rand < spec.p
 
 
 def apply_noise_density(rho: DensityOperator, spec: NoiseSpec) -> DensityOperator:

@@ -11,6 +11,7 @@ import argparse
 import configparser
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import adversary, ksset, protocol
@@ -222,12 +223,14 @@ def cmd_sweep(args) -> int:
 def cmd_intercept(args) -> int:
     ks = ksset.builtin_ks18()
     w_same, w_cross, w_overall = adversary.exact_intercept_resend_w(ks)
+    # Exact threshold: the float 1/9 lies just below the rational 1/9.
+    threshold = Fraction(protocol.W_THRESHOLD_NUM, protocol.W_THRESHOLD_DEN)
     doc = {
         "w_same": [w_same.numerator, w_same.denominator],
         "w_cross": [w_cross.numerator, w_cross.denominator],
         "w_overall": [w_overall.numerator, w_overall.denominator],
         "w_overall_float": float(w_overall),
-        "exceeds_threshold": w_overall > 1 / 9,
+        "exceeds_threshold": w_overall > threshold,
     }
     print(json.dumps(doc, indent=2))
     return 0

@@ -244,22 +244,6 @@ def enumerate_valid_colorings(ks: KSSet, list_limit: int = 100) -> ColoringResul
     return ColoringResult(count, found if count <= list_limit else [])
 
 
-def brute_force_coloring_count(ks: KSSet) -> int:
-    """Independent oracle: try all 2^n bit colorings, keep the valid ones."""
-    n = len(ks.vectors)
-    count = 0
-    for bits in range(1 << n):
-        ok = True
-        for b in ks.bases:
-            ones = sum((bits >> vid) & 1 for vid in b.members)
-            if ones != 1:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Symbol assignments and the mismatch minimum
 # ---------------------------------------------------------------------------
@@ -429,38 +413,11 @@ def min_symbol_mismatch(ks: KSSet) -> MismatchReport:
     bad = defective_vectors(ks, witness)
     # Defect counting above tracks only the *first* label of each vector, so
     # re-derive the count from the witness itself as a consistency check.
-    assert len(bad) == best_cost, "witness does not reproduce its mismatch count"
+    if len(bad) != best_cost:
+        raise RuntimeError(
+            f"witness has {len(bad)} defective vectors, search found {best_cost}"
+        )
     return MismatchReport(best_cost, bad, witness)
-
-
-def exhaustive_min_mismatch(ks: KSSet, fix_first: bool = True) -> int:
-    """Naive enumeration oracle over all per-basis bijections.
-
-    Feasible for instances with few bases only.  With ``fix_first`` the
-    first basis is pinned to the identity labeling, which is sound
-    because a global symbol relabeling never changes the defect count.
-    """
-    nb = len(ks.bases)
-    if nb == 0:
-        return 0
-    shared = []
-    for v in ks.vectors:
-        inc = ks.incidence[v.id]
-        if len(inc) == 2:
-            (l1, p1), (l2, p2) = inc
-            shared.append((ks.basis_index(l1), p1, ks.basis_index(l2), p2))
-    first_choices = (_PERMS[0],) if fix_first else _PERMS
-    best = len(ks.vectors) + 1
-    for combo in itertools.product(first_choices, *([_PERMS] * (nb - 1))):
-        m = 0
-        for b1, p1, b2, p2 in shared:
-            if combo[b1][p1] != combo[b2][p2]:
-                m += 1
-                if m >= best:
-                    break
-        if m < best:
-            best = m
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,8 @@ def record(log: RoundLog, i: int) -> RoundRecord:
     )
 
 
-def run_rounds(config: SessionConfig, ks: KSSet | None = None,
-               backend: str | None = None) -> RoundLog:
-    """Simulate all rounds of a session through the selected kernel."""
+def run_rounds(config: SessionConfig, ks: KSSet | None = None) -> RoundLog:
+    """Simulate all rounds of a session through the round kernel."""
     ks = ks or ksset.builtin_ks18()
     tables = kernel.build_tables(ks)
     assign = kernel.assignment_table(ks, config.adversary.ball_assignment)
@@ -147,36 +146,14 @@ def run_rounds(config: SessionConfig, ks: KSSet | None = None,
     un = substream(config.seed, "noise").random((n, 2))
     ue = substream(config.seed, "adversary").random((n, 2))
     uc = substream(config.seed, "check").random(n)
-
-    out = {
-        name: np.zeros(n, dtype=np.int32)
-        for name in ("alice_basis", "alice_state", "bob_basis",
-                     "bob_outcome", "alice_symbol")
-    }
-    sifted = np.zeros(n, dtype=np.uint8)
-    cross = np.zeros(n, dtype=np.uint8)
-    kernel.run_rounds_kernel(
-        tables.pos_table, tables.cum_table, tables.members, assign,
-        kernel.ADVERSARY_CODES[config.adversary.kind],
-        kernel.NOISE_CODES[config.noise.kind],
-        config.noise.p,
-        ua, ub, un, ue,
-        out["alice_basis"], out["alice_state"], out["bob_basis"],
-        out["bob_outcome"], sifted, out["alice_symbol"], cross,
-        backend=backend,
+    columns = kernel.simulate_rounds(
+        tables, assign, config.adversary.kind, config.noise, ua, ub, un, ue
     )
-    sifted_b = sifted.astype(bool)
     return RoundLog(
         index=np.arange(n, dtype=np.int64),
-        alice_basis=out["alice_basis"],
-        alice_state=out["alice_state"],
-        bob_basis=out["bob_basis"],
-        bob_outcome=out["bob_outcome"],
-        sifted=sifted_b,
-        check=sifted_b & (uc < config.check_fraction),
-        alice_symbol=out["alice_symbol"],
-        cross_basis=cross.astype(bool),
+        check=columns["sifted"] & (uc < config.check_fraction),
         labels=tables.labels,
+        **columns,
     )
 
 
@@ -288,12 +265,17 @@ def certify(stats: CheckStats) -> Verdict:
     return Verdict(INSECURE if failed else SECURE, tuple(failed))
 
 
+def _digits(symbols: np.ndarray) -> str:
+    """Single-digit symbols (always 1..4 here) as one decimal string."""
+    return (symbols + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+
+
 def extract_key(log: RoundLog) -> tuple[str, str, float | None]:
     """Keys from sifted non-check rounds, in round order."""
     keep = np.flatnonzero(log.sifted & ~log.check)
     keep = keep[np.argsort(log.index[keep], kind="stable")]
-    key_a = "".join(map(str, log.alice_symbol[keep]))
-    key_b = "".join(map(str, log.bob_outcome[keep]))
+    key_a = _digits(log.alice_symbol[keep])
+    key_b = _digits(log.bob_outcome[keep])
     agreement = None
     if len(keep):
         agreement = float(

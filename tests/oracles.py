@@ -2,7 +2,9 @@
 
 These deliberately take different routes than the implementation under
 test: bit-level enumeration for colorings, a vectorized product scan and
-a graph-coloring formulation for the symbol-mismatch minimum.
+a graph-coloring formulation for the symbol-mismatch minimum, and a
+per-round Python loop with float inverse-CDF searches for the vectorized
+round kernel.
 """
 
 import itertools
@@ -133,3 +135,95 @@ def subset_ks(ksmod, base_set, labels):
         if b.label in labels
     ]
     return ksmod.build_set(chosen)
+
+
+def reference_round_columns(tables, assign, adversary, noise, ua, ub, un, ue):
+    """Per-round loop twin of ``kernel.simulate_rounds``.
+
+    Reads the same draws and returns the same columns, but searches the
+    cumulative Born numerators with the float comparison ``16 u >= c``
+    round by round instead of gathering from the outcome table.
+    """
+    n = ua.shape[0]
+    nb = tables.members.shape[0]
+    pos_t = tables.pos_table.tolist()
+    cum_t = tables.cum_table.tolist()
+    mem_t = tables.members.tolist()
+    asg_t = assign.tolist()
+    ua_t, ub_t, un_t, ue_t = ua.tolist(), ub.tolist(), un.tolist(), ue.tolist()
+    depolarizing = noise.kind == "depolarizing"
+    cols = {
+        name: np.zeros(n, dtype=np.int32)
+        for name in ("alice_basis", "alice_state", "bob_basis",
+                     "bob_outcome", "alice_symbol")
+    }
+    sifted_col = np.zeros(n, dtype=bool)
+    cross_col = np.zeros(n, dtype=bool)
+
+    def search(cum, u):
+        t = u * 16.0
+        k = 0
+        while t >= cum[k]:
+            k += 1
+        return k
+
+    for i in range(n):
+        ua1, ua2 = ua_t[i]
+        ub1, ub2 = ub_t[i]
+        ba = int(ua1 * nb)
+        pos_a = int(ua2 * 4)
+        v = mem_t[ba][pos_a]
+        bb = int(ub1 * nb)
+        p_pos = pos_t[v][bb]
+        sifted = p_pos >= 0
+
+        if adversary == "ball":
+            if sifted:
+                outcome = asg_t[bb][p_pos]
+                a_sym = asg_t[ba][pos_a]
+            else:
+                outcome = int(ue_t[i][0] * 4) + 1
+                a_sym = 0
+        else:
+            fwd = v
+            if adversary == "intercept_resend":
+                eb = int(ue_t[i][0] * nb)
+                fwd = mem_t[eb][search(cum_t[v][eb], ue_t[i][1])]
+            if depolarizing and un_t[i][0] < noise.p:
+                outcome = int(un_t[i][1] * 4) + 1
+            else:
+                outcome = search(cum_t[fwd][bb], ub2) + 1
+            a_sym = p_pos + 1 if sifted else 0
+
+        cols["alice_basis"][i] = ba
+        cols["alice_state"][i] = v
+        cols["bob_basis"][i] = bb
+        cols["bob_outcome"][i] = outcome
+        cols["alice_symbol"][i] = a_sym
+        sifted_col[i] = sifted
+        cross_col[i] = sifted and bb != ba
+    return {**cols, "sifted": sifted_col, "cross_basis": cross_col}
+
+
+def reference_run_rounds(config, ks=None):
+    """``protocol.run_rounds`` with the per-round loop in place of the kernel."""
+    from ksqkd import kernel, ksset, protocol
+
+    ks = ks or ksset.builtin_ks18()
+    tables = kernel.build_tables(ks)
+    assign = kernel.assignment_table(ks, config.adversary.ball_assignment)
+    n = config.rounds
+    ua, ub, un, ue = (
+        protocol.substream(config.seed, name).random((n, 2))
+        for name in ("alice", "bob", "noise", "adversary")
+    )
+    uc = protocol.substream(config.seed, "check").random(n)
+    cols = reference_round_columns(
+        tables, assign, config.adversary.kind, config.noise, ua, ub, un, ue
+    )
+    return protocol.RoundLog(
+        index=np.arange(n, dtype=np.int64),
+        check=cols["sifted"] & (uc < config.check_fraction),
+        labels=tables.labels,
+        **cols,
+    )

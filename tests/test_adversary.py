@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,15 +8,13 @@ import pytest
 from ksqkd import ksset
 from ksqkd.adversary import (
     AdversarySpec,
-    BallAttackStrategy,
-    ball_attack_outcome,
     exact_intercept_resend_w,
     expected_ball_attack_stats,
-    intercept_resend_transform,
 )
 from ksqkd.ksset import SymbolAssignment, build_set
 from ksqkd.protocol import SessionConfig, estimate_error_stats, run_rounds
-from ksqkd.qcore import normalize, ray_equals
+
+from steering import centre, steer
 
 
 def make_assignment_with_defects(ks, witness, extra: int) -> SymbolAssignment:
@@ -36,57 +35,62 @@ def make_assignment_with_defects(ks, witness, extra: int) -> SymbolAssignment:
     raise AssertionError(f"no perturbation adds exactly {extra} defects")
 
 
+def ball_round(ks, witness, alice, bob, readout_u=0.5):
+    """Kernel columns of ball rounds: Alice's (label, pos) and Bob's label."""
+    (alice_label, pos), bob_label = alice, bob
+    return steer(
+        ks, centre(ks.basis_index(alice_label), 9), centre(pos, 4),
+        centre(ks.basis_index(bob_label), 9), 0.5, ue0=readout_u,
+        adversary="ball", assignment=witness,
+    )
+
+
 class TestBallAttackOutcome:
+    """Bob's readout of a classical ball, as the round kernel computes it."""
+
     def test_same_basis_returns_alice_symbol(self, ks18, optimal_witness):
-        strat = BallAttackStrategy(optimal_witness.witness)
+        witness = optimal_witness.witness
         for b in ks18.bases:
-            for pos, vid in enumerate(b.members):
-                sym = ball_attack_outcome(ks18, vid, b.label, b.label, strat, 0.9)
-                assert sym == optimal_witness.witness.symbol(b.label, pos)
+            for pos in range(4):
+                cols = ball_round(ks18, witness, (b.label, pos), b.label, 0.9)
+                assert cols["sifted"][0] and not cols["cross_basis"][0]
+                assert cols["bob_outcome"][0] == witness.symbol(b.label, pos)
+                assert cols["alice_symbol"][0] == witness.symbol(b.label, pos)
 
     def test_defective_ball_cross_basis_differs(self, ks18, optimal_witness):
-        strat = BallAttackStrategy(optimal_witness.witness)
+        witness = optimal_witness.witness
         for vid in optimal_witness.defective_vector_ids:
-            b1, b2 = [lab for lab, _ in ks18.incidence[vid]]
-            s1 = ball_attack_outcome(ks18, vid, b1, b1, strat, 0.0)
-            s2 = ball_attack_outcome(ks18, vid, b1, b2, strat, 0.0)
-            assert s1 != s2
+            home, (other, _) = ks18.incidence[vid]
+            cols = ball_round(ks18, witness, home, other, 0.0)
+            assert cols["sifted"][0] and cols["cross_basis"][0]
+            assert cols["bob_outcome"][0] != cols["alice_symbol"][0]
 
     def test_consistent_ball_cross_basis_matches(self, ks18, optimal_witness):
-        strat = BallAttackStrategy(optimal_witness.witness)
+        witness = optimal_witness.witness
         for v in ks18.vectors:
             if v.id in optimal_witness.defective_vector_ids:
                 continue
-            b1, b2 = [lab for lab, _ in ks18.incidence[v.id]]
-            assert ball_attack_outcome(
-                ks18, v.id, b1, b1, strat, 0.0
-            ) == ball_attack_outcome(ks18, v.id, b1, b2, strat, 0.0)
-
-    def test_inconsistent_ball_basis_pair_rejected(self, ks18, optimal_witness):
-        strat = BallAttackStrategy(optimal_witness.witness)
-        vid = ks18.basis("I").members[0]
-        not_home = next(
-            b.label for b in ks18.bases
-            if b.label not in {lab for lab, _ in ks18.incidence[vid]}
-        )
-        with pytest.raises(ValueError):
-            ball_attack_outcome(ks18, vid, not_home, "I", strat, 0.0)
+            home, (other, _) = ks18.incidence[v.id]
+            cols = ball_round(ks18, witness, home, other, 0.0)
+            assert cols["sifted"][0] and cols["cross_basis"][0]
+            assert cols["bob_outcome"][0] == cols["alice_symbol"][0]
 
     def test_non_home_readout_uniform_and_unsifted(self, ks18, optimal_witness):
         # readout outside home bases is random but those rounds never sift
-        strat = BallAttackStrategy(optimal_witness.witness)
         vid = ks18.basis("I").members[0]
         homes = {lab for lab, _ in ks18.incidence[vid]}
         other = next(b.label for b in ks18.bases if b.label not in homes)
-        seen = {ball_attack_outcome(ks18, vid, "I", other, strat, u)
-                for u in np.linspace(0, 0.999, 64)}
-        assert seen == {1, 2, 3, 4}
+        cols = ball_round(ks18, optimal_witness.witness, ("I", 0), other,
+                          np.linspace(0, 0.999, 64))
+        assert set(cols["bob_outcome"].tolist()) == {1, 2, 3, 4}
+        assert not cols["sifted"].any()
+        assert (cols["alice_symbol"] == 0).all()
 
 
 class TestExpectedBallStats:
     def test_optimal_witness(self, ks18, optimal_witness):
         w_same, w_cross, w_overall = expected_ball_attack_stats(
-            ks18, BallAttackStrategy(optimal_witness.witness)
+            ks18, optimal_witness.witness
         )
         assert w_same == 0
         assert w_cross == Fraction(2, 18) == Fraction(1, 9)
@@ -98,7 +102,7 @@ class TestExpectedBallStats:
             ("B", ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))),
         ))
         a = SymbolAssignment({"A": (1, 2, 3, 4), "B": (1, 2, 3, 4)})
-        assert expected_ball_attack_stats(toy, BallAttackStrategy(a)) == (0, 0, 0)
+        assert expected_ball_attack_stats(toy, a) == (0, 0, 0)
 
     def test_overall_matches_enumeration_over_sifted_pairs(self, ks18, optimal_witness):
         # Count errors over every (ball, bob basis) sifted combination.
@@ -115,38 +119,55 @@ class TestExpectedBallStats:
         assert Fraction(errors, sifted) == Fraction(1, 18)
 
 
+def intercept_rounds(ks, alice, eve_basis, bob_basis, eve_u, bob_u=0.5):
+    """Kernel columns of intercept-resend rounds, bases given by index."""
+    alice_basis, alice_pos = alice
+    return steer(
+        ks, centre(alice_basis, 9), centre(alice_pos, 4), centre(bob_basis, 9),
+        bob_u, ue0=centre(eve_basis, 9), ue1=eve_u, adversary="intercept_resend",
+    )
+
+
 class TestInterceptResendTransform:
+    """Eve's measure-and-forward step, as the round kernel computes it."""
+
     def test_eigenstate_unchanged(self, ks18):
-        v = ks18.vectors[0]
-        lab = v.home_bases[0]
-        idx = ks18.basis_index(lab)
-        rand_basis = (idx + 0.5) / 9
-        _, _, fwd = intercept_resend_transform(ks18, v.ray, rand_basis, 0.5)
-        assert ray_equals(fwd, v.ray)
+        # Eve measuring in a home basis of the state forwards the state
+        # itself, so Bob sees exactly what he sees without her.
+        grid = np.array(list(itertools.product(range(9), range(4), range(9),
+                                               np.linspace(0, 0.999, 40))))
+        basis, pos, bob, u = grid.T
+        alice = (basis.astype(int), pos.astype(int))
+        with_eve = intercept_rounds(ks18, alice, alice[0], bob.astype(int), u[::-1], u)
+        without = steer(ks18, centre(alice[0], 9), centre(alice[1], 4), centre(bob, 9), u)
+        assert np.array_equal(with_eve["bob_outcome"], without["bob_outcome"])
 
     def test_split_on_wrong_basis(self, ks18):
-        # (1,0,0,0) in basis VIII lands on (1,0,1,0) or (1,0,-1,0), half each
-        state = normalize([1, 0, 0, 0])
-        idx = ks18.basis_index("VIII")
-        targets = [normalize([1, 0, 1, 0]), normalize([1, 0, -1, 0])]
-        rng = np.random.default_rng(4)
-        hits = [0, 0]
+        # (1,0,0,0) in basis VIII lands on (1,0,1,0) or (1,0,-1,0), half
+        # each; Bob measuring in VIII then reads which one Eve forwarded.
+        alice = (ks18.basis_index("I"), 0)
+        assert ks18.vectors[ks18.basis("I").members[0]].raw_amps == (1, 0, 0, 0)
+        viii = ks18.basis_index("VIII")
         n = 4000
-        for u in rng.random(n):
-            _, _, fwd = intercept_resend_transform(ks18, state, (idx + 0.5) / 9, u)
-            hits[0 if ray_equals(fwd, targets[0]) else 1] += 1
-            assert any(ray_equals(fwd, t) for t in targets)
-        assert abs(hits[0] / n - 0.5) <= 3 * math.sqrt(0.25 / n)
+        rng = np.random.default_rng(4)
+        cols = intercept_rounds(ks18, alice, viii, viii, rng.random(n), rng.random(n))
+        outcome = cols["bob_outcome"]
+        targets = [ks18.position(vid, "VIII") + 1 for vid in ks18.basis("VIII").members
+                   if ks18.vectors[vid].raw_amps in ((1, 0, 1, 0), (1, 0, -1, 0))]
+        assert sorted(set(outcome.tolist())) == sorted(targets)
+        assert abs((outcome == targets[0]).mean() - 0.5) <= 3 * math.sqrt(0.25 / n)
 
     def test_forwarded_ray_always_in_set(self, ks18):
+        # The forwarded ray is a member of Eve's basis: Bob measuring in
+        # that basis reads it deterministically, whatever his uniform.
         rng = np.random.default_rng(9)
-        rays = [v.ray for v in ks18.vectors]
-        for _ in range(200):
-            state = rays[rng.integers(18)]
-            _, _, fwd = intercept_resend_transform(
-                ks18, state, rng.random(), rng.random()
-            )
-            assert any(ray_equals(fwd, r) for r in rays)
+        n = 2000
+        alice = (rng.integers(9, size=n), rng.integers(4, size=n))
+        basis = rng.integers(9, size=n)
+        eve_u = rng.random(n)
+        low = intercept_rounds(ks18, alice, basis, basis, eve_u, 0.0)
+        high = intercept_rounds(ks18, alice, basis, basis, eve_u, np.nextafter(1.0, 0.0))
+        assert np.array_equal(low["bob_outcome"], high["bob_outcome"])
 
 
 class TestExactInterceptResend:

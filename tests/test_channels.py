@@ -9,9 +9,10 @@ from ksqkd.channels import (
     NoiseSpec,
     analytic_w,
     apply_noise_density,
-    apply_noise_sampling,
 )
 from ksqkd.qcore import normalize
+
+from steering import centre, steer
 
 
 class TestNoiseSpec:
@@ -25,23 +26,39 @@ class TestNoiseSpec:
             NoiseSpec(kind=kind, p=p)
 
 
+def depolarized(ks, spec, u):
+    """Whether the round kernel depolarizes rounds with noise uniform `u`.
+
+    The rounds are same-basis rounds of Alice's first state in basis I,
+    which Bob reads as outcome 1 unless depolarized; a depolarized round
+    reads symbol 4 from its second noise uniform.
+    """
+    cols = steer(ks, centre(0, 9), centre(0, 4), centre(0, 9), 0.5,
+                 un0=u, un1=0.9, noise=spec)
+    assert set(cols["bob_outcome"].tolist()) <= {1, 4}
+    return cols["bob_outcome"] == 4
+
+
 class TestSampling:
-    def test_p_zero_never_depolarizes(self):
+    """The sampling form of the channel, as the round kernel applies it."""
+
+    def test_p_zero_never_depolarizes(self, ks18):
         spec = NoiseSpec("depolarizing", 0.0)
-        assert not any(apply_noise_sampling(spec, u) for u in np.linspace(0, 0.999, 50))
+        assert not depolarized(ks18, spec, np.linspace(0, 0.999, 50)).any()
 
-    def test_p_one_always_depolarizes(self):
+    def test_p_one_always_depolarizes(self, ks18):
         spec = NoiseSpec("depolarizing", 1.0)
-        assert all(apply_noise_sampling(spec, u) for u in np.linspace(0, 0.999, 50))
+        assert depolarized(ks18, spec, np.linspace(0, 0.999, 50)).all()
 
-    def test_none_kind_ignores_rand(self):
-        assert not apply_noise_sampling(NoiseSpec(), 0.0)
+    def test_none_kind_ignores_rand(self, ks18):
+        assert not depolarized(ks18, NoiseSpec(), 0.0).any()
+        assert not depolarized(ks18, NoiseSpec("none", 0.5), 0.0).any()
 
-    def test_depolarized_fraction(self):
+    def test_depolarized_fraction(self, ks18):
         spec = NoiseSpec("depolarizing", 0.4)
         n = 100_000
         u = np.random.default_rng(1).random(n)
-        frac = np.mean([apply_noise_sampling(spec, x) for x in u])
+        frac = depolarized(ks18, spec, u).mean()
         assert abs(frac - 0.4) <= 3 * math.sqrt(0.4 * 0.6 / n)
 
 

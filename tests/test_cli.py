@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from ksqkd import ksset
+from ksqkd import adversary, ksset
 from ksqkd.cli import ConfigError, load_config, main
 
 BALL_CONFIG = """\
@@ -214,3 +215,17 @@ class TestIntercept:
         assert doc["exceeds_threshold"] is True
         num, den = doc["w_overall"]
         assert num / den > 1 / 9
+
+    @pytest.mark.parametrize("w_overall,exceeds", [
+        (Fraction(1, 9), False),
+        (Fraction(10**9 + 1, 9 * 10**9), True),
+    ])
+    def test_threshold_compared_exactly(self, run, monkeypatch, w_overall, exceeds):
+        # The float 1/9 lies below the rational 1/9, so a rate of exactly
+        # 1/9 must not read as exceeding the threshold.
+        monkeypatch.setattr(
+            adversary, "exact_intercept_resend_w", lambda ks: (0, 0, w_overall)
+        )
+        code, out = run("intercept")
+        assert code == 0
+        assert json.loads(out)["exceeds_threshold"] is exceeds

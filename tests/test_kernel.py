@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,18 +9,35 @@ from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
 from ksqkd.protocol import SessionConfig, run_rounds
 
-LOG_FIELDS = (
-    "alice_basis", "alice_state", "bob_basis", "bob_outcome",
-    "sifted", "check", "alice_symbol", "cross_basis",
-)
+import oracles
+from steering import centre
+
+# The four benchmark scenarios: (adversary kind, noise).
+SCENARIOS = [
+    ("none", NoiseSpec()),
+    ("none", NoiseSpec("depolarizing", 0.3)),
+    ("ball", NoiseSpec("depolarizing", 0.2)),
+    ("intercept_resend", NoiseSpec("depolarizing", 0.15)),
+]
+
+# Uniforms at the edges of the 16ths that Born outcomes are read from:
+# 0, every k/16 exactly, and the largest double below each k/16 (k = 16
+# gives the largest uniform below 1).
+BOUNDARY_U = np.array(sorted(
+    {0.0}
+    | {k / 16 for k in range(16)}
+    | {float(np.nextafter(k / 16, 0.0)) for k in range(1, 17)}
+))
 
 
-def has_cython():
-    try:
-        from ksqkd import _kernel  # noqa: F401
-        return True
-    except ImportError:
-        return False
+def assert_logs_identical(got, want):
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype, f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 def test_tables_are_exact_sixteenths(ks18):
@@ -25,6 +45,12 @@ def test_tables_are_exact_sixteenths(ks18):
     assert t.cum_table.shape == (18, 9, 4)
     assert (t.cum_table[:, :, 3] == 16).all()
     assert (np.diff(t.cum_table, axis=2) >= 0).all()
+    # Outcome k + 1 fills exactly 16 * p_k of the sixteen slots.
+    assert t.outcome_table.shape == (18, 9, 16)
+    assert t.outcome_table.dtype == np.int8
+    counts = np.stack([(t.outcome_table == k + 1).sum(axis=2) for k in range(4)], axis=2)
+    assert np.array_equal(counts, np.diff(t.cum_table, axis=2, prepend=0))
+    assert (np.diff(t.outcome_table, axis=2) >= 0).all()
 
 
 def test_positions_consistent_with_members(ks18):
@@ -35,28 +61,54 @@ def test_positions_consistent_with_members(ks18):
     assert (t.pos_table >= 0).sum() == 36
 
 
-@pytest.mark.skipif(not has_cython(), reason="compiled kernel not built")
+@pytest.mark.parametrize("seed", [7, 123])
+@pytest.mark.parametrize("adv,noise", SCENARIOS)
+def test_matches_reference_loop(optimal_witness, adv, noise, seed):
+    spec = (AdversarySpec("ball", optimal_witness.witness) if adv == "ball"
+            else AdversarySpec(adv))
+    cfg = SessionConfig(rounds=50_000, seed=seed, noise=noise, adversary=spec)
+    assert_logs_identical(run_rounds(cfg), oracles.reference_run_rounds(cfg))
+
+
 @pytest.mark.parametrize("adv,noise", [
-    ("none", NoiseSpec()),
-    ("none", NoiseSpec("depolarizing", 0.3)),
+    ("none", NoiseSpec("depolarizing", 0.25)),
     ("ball", NoiseSpec()),
-    ("intercept_resend", NoiseSpec("depolarizing", 0.15)),
+    ("intercept_resend", NoiseSpec("depolarizing", 0.25)),
 ])
-def test_backends_bit_identical(optimal_witness, adv, noise):
-    spec = (
-        AdversarySpec("ball", optimal_witness.witness)
-        if adv == "ball" else AdversarySpec(adv)
+def test_boundary_uniforms_match_reference(ks18, optimal_witness, adv, noise):
+    # Every (Alice basis, position, Bob basis) with Bob's uniform at every
+    # boundary value; the adversary and noise columns take boundary values
+    # too, including the noise uniform equal to p exactly.
+    grid = np.array(list(itertools.product(range(9), range(4), range(9),
+                                           range(len(BOUNDARY_U)))))
+    n = len(grid)
+    rng = np.random.default_rng(5)
+
+    def pick(values):
+        return rng.permutation(np.resize(values, n))
+
+    p = noise.p
+    draws = {
+        "ua": np.column_stack([centre(grid[:, 0], 9), centre(grid[:, 1], 4)]),
+        "ub": np.column_stack([centre(grid[:, 2], 9), BOUNDARY_U[grid[:, 3]]]),
+        "un": np.column_stack([
+            pick([p, np.nextafter(p, 0.0), 0.0, np.nextafter(1.0, 0.0)]),
+            pick(BOUNDARY_U),
+        ]),
+        "ue": np.column_stack([pick(BOUNDARY_U), pick(BOUNDARY_U)]),
+    }
+    tables = kernel.build_tables(ks18)
+    assign = kernel.assignment_table(
+        ks18, optimal_witness.witness if adv == "ball" else None
     )
-    cfg = SessionConfig(rounds=50_000, seed=123, noise=noise, adversary=spec)
-    log_c = run_rounds(cfg, backend="cython")
-    log_p = run_rounds(cfg, backend="python")
-    for f in LOG_FIELDS:
-        assert np.array_equal(getattr(log_c, f), getattr(log_p, f)), f
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        run_rounds(SessionConfig(rounds=10), backend="fortran")
+    args = (tables, assign, adv, noise,
+            draws["ua"], draws["ub"], draws["un"], draws["ue"])
+    got = kernel.simulate_rounds(*args)
+    want = oracles.reference_round_columns(*args)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_non_sixteenth_probability_rejected():

@@ -96,7 +96,7 @@ class TestColorings:
 
     def test_brute_force_agrees_on_builtin(self, ks18):
         assert oracles.brute_force_coloring_count(ks18) == 0
-        assert ksset.brute_force_coloring_count(ks18) == 0
+        assert enumerate_valid_colorings(ks18).count == 0
 
     def test_brute_force_agrees_on_substructures(self, ks18):
         rng = random.Random(42)
@@ -142,6 +142,12 @@ class TestMinMismatch:
 
     def test_two_disjoint_bases(self):
         assert min_symbol_mismatch(build_set(TWO_DISJOINT)).mismatch_count == 0
+
+    def test_witness_count_mismatch_raises(self, monkeypatch):
+        # The witness re-check is an error, not an assert that -O strips.
+        monkeypatch.setattr(ksset, "defective_vectors", lambda ks, a: (0,))
+        with pytest.raises(RuntimeError):
+            min_symbol_mismatch(build_set(TWO_DISJOINT))
 
     def test_matches_meets_parity_bound(self, ks18, optimal_witness):
         assert optimal_witness.mismatch_count == parity_lower_bound(ks18)

@@ -184,9 +184,12 @@ class TestExtractKey:
         log = run_rounds(SessionConfig(
             rounds=1_000_000, seed=5, noise=NoiseSpec("depolarizing", p),
         ))
-        _, _, agreement = extract_key(log)
+        key_a, key_b, agreement = extract_key(log)
+        keep = log.sifted & ~log.check
+        assert key_a == "".join(map(str, log.alice_symbol[keep]))
+        assert key_b == "".join(map(str, log.bob_outcome[keep]))
         expect = 1 - 0.75 * p
-        n = int((log.sifted & ~log.check).sum())
+        n = int(keep.sum())
         assert abs(agreement - expect) <= 3 * math.sqrt(expect * (1 - expect) / n)
 
     def test_no_rounds_yields_empty_keys(self):
