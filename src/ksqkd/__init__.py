@@ -1,9 +1,9 @@
 """Simulator and analysis toolkit for contextuality-protected QKD.
 
 Modules:
-    qcore     -- exact / floating-point linear algebra for ququart states
+    qcore     -- exact linear algebra for integer-amplitude ququart states
     ksset     -- the 18-vector KS set, colorability, minimum mismatch
-    channels  -- depolarizing noise (sampling and density forms)
+    channels  -- depolarizing noise and its analytic error rate
     adversary -- classical ball attack and intercept-resend
     protocol  -- round generation, sifting, certification, key extraction
     cli       -- verify / analyze / simulate / sweep commands

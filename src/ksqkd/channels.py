@@ -1,12 +1,10 @@
 """Transmission noise: a one-parameter depolarizing channel.
 
-Two equivalent realizations exist.  The sampling form, which the round
-kernel (``kernel.simulate_rounds``) applies, marks a round as
-"depolarized" with probability p, after which the measurement outcome is
-uniform over the four detectors regardless of basis; the density form
-here applies rho -> (1-p) rho + p I/4.  For the depolarizing channel
-these give identical outcome statistics, which keeps the Monte Carlo
-round loop pure-state.
+The round kernel (``kernel.simulate_rounds``) applies it by sampling: a
+round is "depolarized" with probability p, and its measurement outcome
+is then uniform over the four detectors regardless of basis.  This has
+the outcome statistics of rho -> (1-p) rho + p I/4, so every outcome
+probability is (1-p) P_Born + p/4 and the rounds stay pure-state.
 
 The single error figure the protocol cares about is w, the probability
 of a wrong state identification given a correct-basis measurement.  For
@@ -16,8 +14,6 @@ depolarizing noise w = 3p/4 and the transmission fidelity is F = 1 - w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 NOISE_KINDS = ("none", "depolarizing")
 
@@ -32,37 +28,6 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability {self.p} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (4, 4):
-            raise ValueError("density operator must be 4x4")
-        if not np.allclose(m, m.conj().T, atol=1e-12):
-            raise ValueError("density operator not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-12:
-            raise ValueError("density operator trace != 1")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ValueError("density operator has negative eigenvalue")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @staticmethod
-    def from_pure(ray) -> "DensityOperator":
-        v = ray.amps.reshape(4, 1)
-        return DensityOperator(v @ v.conj().T)
-
-
-def apply_noise_density(rho: DensityOperator, spec: NoiseSpec) -> DensityOperator:
-    """Density form: rho -> (1-p) rho + p I/4."""
-    if spec.kind == "none":
-        return rho
-    mixed = np.eye(4, dtype=np.complex128) / 4.0
-    return DensityOperator((1.0 - spec.p) * rho.matrix + spec.p * mixed)
 
 
 def analytic_w(spec: NoiseSpec) -> tuple[float, float]:

@@ -79,7 +79,11 @@ def _load_adversary(section: dict) -> AdversarySpec:
     if source == "optimal":
         assignment = ksset.min_symbol_mismatch(ks).witness
     else:
-        assignment = ksset.parse_assignment_file(Path(source).read_text(), ks)
+        try:
+            text = Path(source).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read ball_assignment {source}: {exc}") from exc
+        assignment = ksset.parse_assignment_file(text, ks)
     return AdversarySpec(kind="ball", ball_assignment=assignment)
 
 
@@ -200,15 +204,23 @@ def cmd_sweep(args) -> int:
     if not ok_range:
         print("error: need 0 <= start <= stop <= 1 and points >= 2", file=sys.stderr)
         return 2
-    rows = ["p,w_overall,w_same,w_cross,sift_rate,rounds_sifted,certified"]
+    # Every point's config is checked before the first session runs.
+    configs = []
     for i in range(args.points):
         p = args.start + (args.stop - args.start) * i / (args.points - 1)
-        config = SessionConfig(
-            rounds=args.rounds,
-            seed=args.seed + i,  # deterministic per (seed, point index)
-            check_fraction=args.check_fraction,
-            noise=NoiseSpec(kind="depolarizing", p=p),
-        )
+        try:
+            configs.append(SessionConfig(
+                rounds=args.rounds,
+                seed=args.seed + i,  # deterministic per (seed, point index)
+                check_fraction=args.check_fraction,
+                noise=NoiseSpec(kind="depolarizing", p=p),
+            ))
+        except ValueError as exc:
+            print(f"error: sweep point {i}: {exc}", file=sys.stderr)
+            return 2
+    rows = ["p,w_overall,w_same,w_cross,sift_rate,rounds_sifted,certified"]
+    for config in configs:
+        p = config.noise.p
         r = protocol.run_session(config)
         certified = {True: "true", False: "false", None: "indeterminate"}[r.certified]
         rows.append(",".join([

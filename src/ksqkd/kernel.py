@@ -28,14 +28,13 @@ class KernelTables:
     """Integer lookup tables driving the round kernel."""
 
     pos_table: np.ndarray   # int32[nv, nb], -1 when vector not in basis
-    cum_table: np.ndarray   # int32[nv, nb, 4], cumulative numerators / 16
     outcome_table: np.ndarray  # int8[nv, nb, 16], 1-based outcome per floor(16u)
     members: np.ndarray     # int32[nb, 4]
     labels: tuple[str, ...]
 
 
 def build_tables(ks: KSSet) -> KernelTables:
-    """Precompute exact positions, cumulative Born numerators and outcomes.
+    """Precompute exact positions and the outcome for every (ray, basis, s).
 
     Requires every in-set Born probability to be a multiple of 1/16,
     which holds for the builtin set (amplitudes in {-1, 0, 1}).
@@ -66,7 +65,7 @@ def build_tables(ks: KSSet) -> KernelTables:
     s = np.arange(PROB_DENOM)[:, None]
     outcome = 1 + (cum[:, :, None, :] <= s).sum(axis=-1)
     return KernelTables(
-        pos, cum, outcome.astype(np.int8), members, tuple(b.label for b in ks.bases)
+        pos, outcome.astype(np.int8), members, tuple(b.label for b in ks.bases)
     )
 
 

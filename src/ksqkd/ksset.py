@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import qcore
-from .qcore import Ray, MeasBasis, canonical_int_amps, normalize
+from .qcore import canonical_int_amps
 
 # Basis contents of the builtin set, in table row order (row 1 holds
 # outcomes 1-2, row 2 outcomes 3-4).  Shared rays repeat verbatim.
@@ -53,7 +53,6 @@ class SetFormatError(ValueError):
 class KSVector:
     id: int
     raw_amps: tuple[int, int, int, int]
-    ray: Ray
     home_bases: tuple[str, ...]  # basis labels, in basis order
 
 
@@ -89,10 +88,6 @@ class KSSet:
                 return pos
         raise KeyError(f"vector {vector_id} not in basis {basis_label}")
 
-    def meas_basis(self, label: str) -> MeasBasis:
-        b = self.basis(label)
-        return MeasBasis(label, tuple(self.vectors[i].ray for i in b.members))
-
 
 def build_set(basis_amps) -> KSSet:
     """Assemble a KSSet from (label, 4 integer amplitude tuples) pairs.
@@ -118,7 +113,7 @@ def build_set(basis_amps) -> KSSet:
             members.append(vid)
         bases.append(KSBasisDef(label, tuple(members)))
     vectors = tuple(
-        KSVector(i, vec_amps[i], normalize(vec_amps[i]), tuple(homes[i]))
+        KSVector(i, vec_amps[i], tuple(homes[i]))
         for i in range(len(vec_amps))
     )
     incidence = {

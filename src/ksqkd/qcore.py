@@ -1,31 +1,23 @@
-"""Linear algebra for 4-dimensional pure states.
+"""Exact linear algebra for 4-dimensional integer-amplitude states.
 
-Two arithmetic regimes live side by side:
-
-* floating point (numpy complex128) for Monte Carlo simulation, and
-* exact ``fractions.Fraction`` arithmetic over squared magnitudes for
-  structural checks on integer-amplitude vectors, where every
-  orthogonality / probability statement can be decided with equality
-  instead of a tolerance.
-
-A *ray* is a pure state modulo global phase.  Rays are canonicalized so
-that the first nonzero amplitude is real and positive, which makes ray
-identity a plain comparison and keeps report output byte-stable.
+Every ray the package handles has integer amplitudes, so each
+orthogonality and probability statement is decided with exact integer
+and ``fractions.Fraction`` arithmetic, by equality instead of a
+tolerance.  The one floating-point routine, :func:`render_hybrid_ket`,
+only formats amplitudes in the paper's hybrid polarization/OAM ket
+notation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-DIM = 4
-
-# Structural float tolerance and ray-identity tolerance.  Both sit far
-# below anything that integer-amplitude algebra in dimension 4 produces.
-ATOL_STRUCT = 1e-12
-ATOL_RAY = 1e-9
+# Ket rendering tolerances: a norm below ATOL_ZERO is a zero vector, and a
+# coefficient within ATOL_COEFF of zero, one or the real axis is read as such.
+ATOL_ZERO = 1e-12
+ATOL_COEFF = 1e-9
 
 # Hybrid ket labels for logical basis indices 1..4 (polarization x OAM).
 KET_LABELS = ("|H,+1⟩", "|H,−1⟩", "|V,+1⟩", "|V,−1⟩")
@@ -34,119 +26,18 @@ MINUS = "−"
 
 
 class ZeroVectorError(ValueError):
-    """Raised when a zero (or numerically zero) vector is normalized."""
-
-
-@dataclass(frozen=True)
-class Ray:
-    """A canonical unit vector: norm 1, first nonzero amplitude real > 0.
-
-    Construct through :func:`normalize`; the constructor trusts its input.
-    """
-
-    amps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.amps, dtype=np.complex128)
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
-
-    def __repr__(self):
-        return f"Ray({np.round(self.amps, 6).tolist()})"
-
-
-def normalize(amps) -> Ray:
-    """Scale a 4-component vector to a canonical Ray.
-
-    Proportional inputs (including complex global phases) map to the
-    identical Ray.  Already-canonical input is returned bit-for-bit
-    unchanged, so normalization is exactly idempotent.
-    """
-    v = np.asarray(amps, dtype=np.complex128).reshape(DIM).copy()
-    norm = float(np.sqrt(np.real(np.vdot(v, v))))
-    if norm < ATOL_STRUCT:
-        raise ZeroVectorError(f"cannot normalize zero vector {amps!r}")
-    if abs(norm - 1.0) > ATOL_STRUCT:
-        v = v / norm
-    k = int(np.flatnonzero(np.abs(v) > ATOL_STRUCT)[0])
-    lead = v[k]
-    if lead.imag != 0.0 or lead.real <= 0.0:
-        v = v * (np.conjugate(lead) / abs(lead))
-        v[k] = abs(v[k])  # force exactly real
-    return Ray(v)
-
-
-def inner_product(u: Ray, v: Ray) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    return complex(np.vdot(u.amps, v.amps))
-
-
-def ray_equals(u: Ray, v: Ray) -> bool:
-    """True iff u and v are the same ray (overlap magnitude 1)."""
-    return abs(abs(inner_product(u, v)) - 1.0) <= ATOL_RAY
-
-
-@dataclass(frozen=True)
-class MeasBasis:
-    """An ordered orthonormal 4-outcome measurement basis."""
-
-    label: str
-    rays: tuple[Ray, Ray, Ray, Ray]
-
-    def __post_init__(self):
-        for i in range(DIM):
-            for j in range(i + 1, DIM):
-                ov = abs(inner_product(self.rays[i], self.rays[j])) ** 2
-                if ov > ATOL_STRUCT:
-                    raise ValueError(
-                        f"basis {self.label}: rays {i} and {j} not orthogonal "
-                        f"(|overlap|^2 = {ov:g})"
-                    )
-
-
-def born_probabilities(state: Ray, basis: MeasBasis) -> np.ndarray:
-    """Outcome probabilities of measuring `state` in `basis` (Born rule)."""
-    p = np.array([abs(inner_product(r, state)) ** 2 for r in basis.rays])
-    return p / p.sum()
-
-
-def sample_outcome(state: Ray, basis: MeasBasis, rand: float) -> int:
-    """Draw one outcome (1..4) by inverse CDF over the Born probabilities.
-
-    Outcome k is selected when rand falls in the half-open interval
-    [c_{k-1}, c_k) of cumulative probabilities, so ties break
-    deterministically toward the lower outcome index.
-    """
-    cum = np.cumsum(born_probabilities(state, basis))
-    return int(np.searchsorted(cum, rand, side="right")) + 1
-
-
-def sample_outcomes(state: Ray, basis: MeasBasis, rands: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`sample_outcome` over an array of uniforms."""
-    cum = np.cumsum(born_probabilities(state, basis))
-    return np.searchsorted(cum, np.asarray(rands), side="right") + 1
-
-
-def is_hybrid_entangled(state: Ray) -> bool:
-    """True iff the state is entangled between the two qubit factors.
-
-    The amplitudes reshape to the 2x2 matrix [[a1, a2], [a3, a4]]
-    (polarization row, OAM column); Schmidt rank 2, i.e. a nonzero
-    determinant, means entangled.
-    """
-    m = state.amps.reshape(2, 2)
-    return bool(abs(np.linalg.det(m)) > ATOL_RAY)
+    """Raised when an overlap, canonical form or ket meets a zero vector."""
 
 
 def _format_coeff(c: complex) -> tuple[str, str]:
     """Split a coefficient into (sign, magnitude text) for ket rendering."""
-    if abs(c.imag) > ATOL_RAY:
+    if abs(c.imag) > ATOL_COEFF:
         # general complex coefficient: render in parentheses, sign absorbed
         return "+", f"({c.real:.4g}{c.imag:+.4g}i)"
     x = c.real
     sign = "-" if x < 0 else "+"
     mag = abs(x)
-    if abs(mag - 1.0) <= ATOL_RAY:
+    if abs(mag - 1.0) <= ATOL_COEFF:
         return sign, ""
     if abs(mag - round(mag, 4)) < 1e-12:
         text = f"{mag:.4f}".rstrip("0").rstrip(".")
@@ -156,24 +47,22 @@ def _format_coeff(c: complex) -> tuple[str, str]:
 
 
 def render_hybrid_ket(state) -> str:
-    """Render a state in the hybrid polarization/OAM ket basis.
+    """Render amplitudes in the hybrid polarization/OAM ket basis.
 
-    Accepts a Ray or raw amplitudes; raw input is scaled to unit norm but
-    its phase is kept, so a leading negative amplitude renders as written
-    in the source table.  Terms appear in logical order, zero amplitudes
-    are omitted, unit coefficients are suppressed, and the minus sign is
-    typeset as the Unicode minus to match the ket arrows.
+    The amplitudes are scaled to unit norm but their phase is kept, so a
+    leading negative amplitude renders as written in the source table.
+    Terms appear in logical order, zero amplitudes are omitted, unit
+    coefficients are suppressed, and the minus sign is typeset as the
+    Unicode minus to match the ket arrows.
     """
-    amps = state.amps if isinstance(state, Ray) else np.asarray(
-        state, dtype=np.complex128
-    )
+    amps = np.asarray(state, dtype=np.complex128)
     norm = float(np.sqrt(np.real(np.vdot(amps, amps))))
-    if norm < ATOL_STRUCT:
+    if norm < ATOL_ZERO:
         raise ZeroVectorError("cannot render zero vector")
     amps = amps / norm
     parts = []
     for amp, label in zip(amps, KET_LABELS):
-        if abs(amp) <= ATOL_RAY:
+        if abs(amp) <= ATOL_COEFF:
             continue
         sign, mag = _format_coeff(complex(amp))
         parts.append((sign, mag + label))
@@ -207,11 +96,19 @@ def exact_overlap_sq(u, v) -> Fraction:
 def exact_born(state, basis_amps) -> tuple[Fraction, ...]:
     """Exact Born probabilities of an integer vector in an integer basis.
 
-    `basis_amps` is a sequence of four integer amplitude tuples assumed
-    pairwise orthogonal; the probabilities then sum to exactly 1.
+    `basis_amps` is a sequence of four integer amplitude tuples that must
+    be pairwise orthogonal, so that the probabilities sum to exactly 1.
+
+    Raises:
+        ValueError: when the probabilities do not sum to 1, i.e. the basis
+            is not complete and orthogonal in exact arithmetic.
     """
     probs = tuple(exact_overlap_sq(b, state) for b in basis_amps)
-    assert sum(probs) == 1, "basis not complete/orthogonal in exact arithmetic"
+    if sum(probs) != 1:
+        raise ValueError(
+            f"basis not complete/orthogonal in exact arithmetic: "
+            f"probabilities of {tuple(state)} sum to {sum(probs)}"
+        )
     return probs
 
 

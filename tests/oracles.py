@@ -2,9 +2,10 @@
 
 These deliberately take different routes than the implementation under
 test: bit-level enumeration for colorings, a vectorized product scan and
-a graph-coloring formulation for the symbol-mismatch minimum, and a
-per-round Python loop with float inverse-CDF searches for the vectorized
-round kernel.
+a graph-coloring formulation for the symbol-mismatch minimum, and, for
+the vectorized round kernel, a per-round Python loop that searches Born
+numerators it derives itself from the set's integer amplitudes, with no
+use of the kernel's tables.
 """
 
 import itertools
@@ -137,18 +138,48 @@ def subset_ks(ksmod, base_set, labels):
     return ksmod.build_set(chosen)
 
 
-def reference_round_columns(tables, assign, adversary, noise, ua, ub, un, ue):
+def born_numerators(ks, vector_id, basis_index):
+    """The four Born probabilities of a set vector in a set basis, times 16.
+
+    Each is 16 (b.v)^2 / (|b|^2 |v|^2) in integer arithmetic; a remainder
+    or a total other than 16 is an error.
+    """
+    v = ks.vectors[vector_id].raw_amps
+    nums = []
+    for m in ks.bases[basis_index].members:
+        b = ks.vectors[m].raw_amps
+        dot = sum(x * y for x, y in zip(b, v))
+        norms = sum(x * x for x in b) * sum(x * x for x in v)
+        num, rem = divmod(16 * dot * dot, norms)
+        if rem:
+            raise ValueError(f"vector {vector_id} in basis {basis_index}: "
+                             "probability is not a multiple of 1/16")
+        nums.append(num)
+    if sum(nums) != 16:
+        raise ValueError(f"basis {basis_index} is not complete for vector {vector_id}")
+    return nums
+
+
+def reference_round_columns(ks, assign, adversary, noise, ua, ub, un, ue):
     """Per-round loop twin of ``kernel.simulate_rounds``.
 
-    Reads the same draws and returns the same columns, but searches the
-    cumulative Born numerators with the float comparison ``16 u >= c``
-    round by round instead of gathering from the outcome table.
+    Reads the same draws and returns the same columns, but takes the set
+    ``ks`` in place of the kernel's tables: it finds positions from the
+    set's basis members and searches cumulative Born numerators from
+    :func:`born_numerators` with the float comparison ``16 u >= c``,
+    round by round.
     """
     n = ua.shape[0]
-    nb = tables.members.shape[0]
-    pos_t = tables.pos_table.tolist()
-    cum_t = tables.cum_table.tolist()
-    mem_t = tables.members.tolist()
+    nb = len(ks.bases)
+    mem_t = [list(b.members) for b in ks.bases]
+    pos_t = [[-1] * nb for _ in ks.vectors]
+    for bi, members in enumerate(mem_t):
+        for p, vid in enumerate(members):
+            pos_t[vid][bi] = p
+    cum_t = [
+        [list(itertools.accumulate(born_numerators(ks, v.id, bi))) for bi in range(nb)]
+        for v in ks.vectors
+    ]
     asg_t = assign.tolist()
     ua_t, ub_t, un_t, ue_t = ua.tolist(), ub.tolist(), un.tolist(), ue.tolist()
     depolarizing = noise.kind == "depolarizing"
@@ -210,7 +241,6 @@ def reference_run_rounds(config, ks=None):
     from ksqkd import kernel, ksset, protocol
 
     ks = ks or ksset.builtin_ks18()
-    tables = kernel.build_tables(ks)
     assign = kernel.assignment_table(ks, config.adversary.ball_assignment)
     n = config.rounds
     ua, ub, un, ue = (
@@ -219,11 +249,11 @@ def reference_run_rounds(config, ks=None):
     )
     uc = protocol.substream(config.seed, "check").random(n)
     cols = reference_round_columns(
-        tables, assign, config.adversary.kind, config.noise, ua, ub, un, ue
+        ks, assign, config.adversary.kind, config.noise, ua, ub, un, ue
     )
     return protocol.RoundLog(
         index=np.arange(n, dtype=np.int64),
         check=cols["sifted"] & (uc < config.check_fraction),
-        labels=tables.labels,
+        labels=tuple(b.label for b in ks.bases),
         **cols,
     )

@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ksqkd import channels
-from ksqkd.channels import (
-    DensityOperator,
-    NoiseSpec,
-    analytic_w,
-    apply_noise_density,
-)
-from ksqkd.qcore import normalize
+from ksqkd import ksset
+from ksqkd.channels import NoiseSpec, analytic_w
+from ksqkd.protocol import SessionConfig, run_rounds
 
-from steering import centre, steer
+from steering import centre, sending, steer
 
 
 class TestNoiseSpec:
@@ -63,35 +58,34 @@ class TestSampling:
 
 
 class TestDensity:
-    def test_identity_map_at_p_zero(self):
-        rho = DensityOperator.from_pure(normalize([1, 0, 0, 1]))
-        out = apply_noise_density(rho, NoiseSpec("depolarizing", 0.0))
-        assert np.allclose(out.matrix, rho.matrix)
+    """Kernel outcomes against the depolarized state rho -> (1-p) rho + p I/4."""
 
-    def test_full_depolarization(self):
-        rho = DensityOperator.from_pure(normalize([1, 1, 1, -1]))
-        out = apply_noise_density(rho, NoiseSpec("depolarizing", 1.0))
-        assert np.allclose(out.matrix, np.eye(4) / 4)
-
-    def test_half_depolarized_pure_state(self):
-        rho = DensityOperator.from_pure(normalize([1, 0, 0, 0]))
-        out = apply_noise_density(rho, NoiseSpec("depolarizing", 0.5))
-        assert np.allclose(np.diag(out.matrix).real, [5 / 8, 1 / 8, 1 / 8, 1 / 8])
-
-    def test_trace_and_hermiticity_preserved(self):
+    def test_identity_map_at_p_zero(self, ks18):
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            v = normalize(rng.normal(size=4) + 1j * rng.normal(size=4))
-            rho = DensityOperator.from_pure(v)
-            out = apply_noise_density(rho, NoiseSpec("depolarizing", 0.37))
-            assert abs(np.trace(out.matrix).real - 1) < 1e-14
-            assert np.array_equal(out.matrix, out.matrix.conj().T)
+        draws = rng.random((8, 5000))
+        quiet = steer(ks18, *draws)
+        idle = steer(ks18, *draws, noise=NoiseSpec("depolarizing", 0.0))
+        for name in quiet:
+            assert np.array_equal(quiet[name], idle[name]), name
 
-    def test_invalid_density_rejected(self):
-        with pytest.raises(ValueError):
-            DensityOperator(np.eye(4))  # trace 4
-        with pytest.raises(ValueError):
-            DensityOperator(np.diag([1.5, -0.5, 0, 0]))
+    def test_full_depolarization(self, ks18):
+        # (1,1,1,-1) reads (1/4, 1/2, 0, 1/4) in basis VIII; I/4 reads 1/4 each.
+        n = 100_000
+        un1, ub1 = np.random.default_rng(4).random((2, n))
+        outcomes = steer(ks18, *sending(ks18, 15), centre(7, 9), ub1, un0=0.5,
+                         un1=un1, noise=NoiseSpec("depolarizing", 1.0))["bob_outcome"]
+        assert outcomes.tolist() == ((un1 * 4).astype(int) + 1).tolist()
+        for k in range(1, 5):
+            assert abs((outcomes == k).mean() - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / n)
+
+    def test_half_depolarized_pure_state(self, ks18):
+        # (1,0,0,0) in basis I at p = 1/2: diagonal (5/8, 1/8, 1/8, 1/8)
+        n = 100_000
+        un0, un1, ub1 = np.random.default_rng(6).random((3, n))
+        outcomes = steer(ks18, *sending(ks18, 0), centre(0, 9), ub1, un0=un0,
+                         un1=un1, noise=NoiseSpec("depolarizing", 0.5))["bob_outcome"]
+        for k, p in enumerate([5 / 8, 1 / 8, 1 / 8, 1 / 8], start=1):
+            assert abs((outcomes == k).mean() - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
 class TestAnalyticW:
@@ -111,49 +105,28 @@ class TestAnalyticW:
 
 class TestSamplingDensityAgreement:
     def test_outcome_distribution_matches_density_diagonal(self, ks18):
-        """Sampling and density forms of the channel predict the same stats."""
-        from ksqkd.qcore import born_probabilities, sample_outcomes
-
+        """Kernel outcomes follow the diagonal (1-p) P_Born + p/4 of the
+        depolarized state, here (1,1,1,1) measured in basis I."""
         spec = NoiseSpec("depolarizing", 0.3)
-        state = ks18.vectors[4].ray  # (1,1,1,1)/2
-        basis = ks18.meas_basis("I")
-        rho = apply_noise_density(DensityOperator.from_pure(state), spec)
-        proj = np.array([
-            np.real(r.amps.conj() @ rho.matrix @ r.amps) for r in basis.rays
-        ])
+        born = ksset.exact_basis_probs(ks18, 4, "I")
+        expect = [(1 - spec.p) * float(pb) + spec.p / 4 for pb in born]
 
         n = 200_000
         rng = np.random.default_rng(8)
-        depol = rng.random(n) < spec.p
-        u = rng.random(n)
-        outcomes = np.where(
-            depol, (rng.random(n) * 4).astype(int) + 1,
-            sample_outcomes(state, basis, u),
-        )
-        for k in range(4):
-            p = proj[k]
-            freq = (outcomes == k + 1).mean()
+        un0, un1, ub1 = rng.random((3, n))
+        outcomes = steer(ks18, *sending(ks18, 4), centre(0, 9), ub1,
+                         un0=un0, un1=un1, noise=spec)["bob_outcome"]
+        for k, p in enumerate(expect, start=1):
+            freq = (outcomes == k).mean()
             assert abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
-def test_monte_carlo_w_matches_analytic(ks18):
-    """Correct-basis error rate over all 18 states at p = 0.2."""
-    from ksqkd.qcore import sample_outcomes
-
+def test_monte_carlo_w_matches_analytic():
+    """Correct-basis error rate of a whole session at p = 0.2."""
     spec = NoiseSpec("depolarizing", 0.2)
     w_expect, _ = analytic_w(spec)
-    rng = np.random.default_rng(17)
-    errors = total = 0
-    for v in ks18.vectors:
-        for lab, pos in ks18.incidence[v.id]:
-            basis = ks18.meas_basis(lab)
-            n = 3000
-            depol = rng.random(n) < spec.p
-            outcomes = np.where(
-                depol, (rng.random(n) * 4).astype(int) + 1,
-                sample_outcomes(v.ray, basis, rng.random(n)),
-            )
-            errors += int((outcomes != pos + 1).sum())
-            total += n
-    w = errors / total
+    log = run_rounds(SessionConfig(rounds=400_000, seed=17, noise=spec))
+    errors = log.bob_outcome[log.sifted] != log.alice_symbol[log.sifted]
+    total = errors.size
+    w = errors.mean()
     assert abs(w - w_expect) <= 3 * math.sqrt(w_expect * (1 - w_expect) / total)

@@ -75,6 +75,13 @@ class TestLoadConfig:
         cfg = load_config(str(p))
         assert cfg.adversary.ball_assignment.symbol("IX", 3) == 4
 
+    @pytest.mark.parametrize("target", ["missing.txt", "."])
+    def test_unreadable_assignment_file(self, tmp_path, target):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[adversary]\nkind = ball\nball_assignment = {tmp_path / target}\n")
+        with pytest.raises(ConfigError, match="ball_assignment"):
+            load_config(str(p))
+
 
 class TestVerify:
     def test_builtin_passes(self, run):
@@ -154,6 +161,15 @@ class TestSimulate:
         code, _ = run("simulate", "--config", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["missing.txt", "."])
+    def test_unreadable_assignment_certify_exit_2(self, capsys, tmp_path, target):
+        # Exit 1 would read as INSECURE under --certify.
+        p = tmp_path / "ball.ini"
+        p.write_text(f"[adversary]\nkind = ball\nball_assignment = {tmp_path / target}\n")
+        assert main(["simulate", "--config", str(p), "--certify"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
     def test_out_file_and_byte_determinism(self, run, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -200,6 +216,19 @@ class TestSweep:
         assert code == 2
         code, _ = run("sweep", "--start", "0", "--stop", "1", "--points", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [
+        ("--check-fraction", "2"),
+        ("--seed", "-1"),
+        # the last point's seed, 2**64, needs 65 bits
+        ("--seed", str(2**64 - 2)),
+    ])
+    def test_invalid_session_config_exit_2(self, capsys, extra):
+        argv = ["sweep", "--start", "0", "--stop", "0.3", "--points", "3",
+                "--rounds", "100", *extra]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_unsupported_param_exit_2(self, run):
         code, _ = run("sweep", "--param", "noise.q", "--start", "0",

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ksqkd import kernel
+from ksqkd import kernel, ksset
 from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
 from ksqkd.protocol import SessionConfig, run_rounds
@@ -42,15 +42,16 @@ def assert_logs_identical(got, want):
 
 def test_tables_are_exact_sixteenths(ks18):
     t = kernel.build_tables(ks18)
-    assert t.cum_table.shape == (18, 9, 4)
-    assert (t.cum_table[:, :, 3] == 16).all()
-    assert (np.diff(t.cum_table, axis=2) >= 0).all()
-    # Outcome k + 1 fills exactly 16 * p_k of the sixteen slots.
     assert t.outcome_table.shape == (18, 9, 16)
     assert t.outcome_table.dtype == np.int8
-    counts = np.stack([(t.outcome_table == k + 1).sum(axis=2) for k in range(4)], axis=2)
-    assert np.array_equal(counts, np.diff(t.cum_table, axis=2, prepend=0))
     assert (np.diff(t.outcome_table, axis=2) >= 0).all()
+    # Outcome k + 1 fills exactly 16 * p_k of the sixteen slots, with p_k
+    # the exact Born probability.
+    for v in ks18.vectors:
+        for bi, b in enumerate(ks18.bases):
+            counts = np.bincount(t.outcome_table[v.id, bi], minlength=5)[1:]
+            probs = ksset.exact_basis_probs(ks18, v.id, b.label)
+            assert counts.tolist() == [16 * p for p in probs], (v.id, b.label)
 
 
 def test_positions_consistent_with_members(ks18):
@@ -104,7 +105,7 @@ def test_boundary_uniforms_match_reference(ks18, optimal_witness, adv, noise):
     args = (tables, assign, adv, noise,
             draws["ua"], draws["ub"], draws["un"], draws["ue"])
     got = kernel.simulate_rounds(*args)
-    want = oracles.reference_round_columns(*args)
+    want = oracles.reference_round_columns(ks18, *args[1:])
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].dtype == want[name].dtype, name
@@ -112,8 +113,6 @@ def test_boundary_uniforms_match_reference(ks18, optimal_witness, adv, noise):
 
 
 def test_non_sixteenth_probability_rejected():
-    from ksqkd import ksset
-
     # a valid orthonormal basis whose overlaps with (1,1,1,0)-style rays
     # produce denominators other than 16
     odd = ksset.build_set((
@@ -122,3 +121,14 @@ def test_non_sixteenth_probability_rejected():
     ))
     with pytest.raises(ValueError):
         kernel.build_tables(odd)
+
+
+def test_non_orthogonal_basis_rejected():
+    # Every probability is a multiple of 1/16, but basis A is not
+    # orthogonal: (1,0,0,0) would read 1 + 1/4 in it, past outcome 4.
+    skew = ksset.build_set((
+        ("A", ((1, 0, 0, 0), (1, 1, 1, 1), (0, 0, 1, 0), (0, 0, 0, 1))),
+        ("B", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    ))
+    with pytest.raises(ValueError, match="orthogonal"):
+        kernel.build_tables(skew)

@@ -1,113 +1,138 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ksqkd import ksset, qcore
+from ksqkd import kernel, ksset, qcore
+from ksqkd.channels import NoiseSpec
 from ksqkd.qcore import (
-    MeasBasis,
     ZeroVectorError,
-    born_probabilities,
-    inner_product,
-    is_hybrid_entangled,
-    normalize,
-    ray_equals,
+    canonical_int_amps,
+    exact_inner,
+    exact_overlap_sq,
     render_hybrid_ket,
-    sample_outcome,
-    sample_outcomes,
 )
 
-SQ2 = 1 / math.sqrt(2)
+from steering import centre, sending, steer
+
+F = Fraction
+
+# Every nonzero integer vector with amplitudes in -2..2.
+SMALL_VECTORS = [
+    v for v in itertools.product(range(-2, 3), repeat=4) if any(v)
+]
 
 
-def nonzero_vectors():
-    amp = st.floats(-5, 5, allow_nan=False)
-    return st.tuples(
-        *([st.tuples(amp, amp)] * 4)
-    ).map(lambda t: [complex(re, im) for re, im in t]).filter(
-        lambda v: sum(abs(x) ** 2 for x in v) > 1e-6
-    )
+def slot_counts(tables, vector_id, basis_index):
+    """How many of the sixteen outcome-table slots read each outcome."""
+    return tuple(np.bincount(tables.outcome_table[vector_id, basis_index],
+                             minlength=5)[1:].tolist())
 
 
 class TestNormalize:
+    """A ray's canonical integer form: primitive, first nonzero entry > 0."""
+
     def test_scaling(self):
-        assert np.allclose(normalize([2, 0, 0, 0]).amps, [1, 0, 0, 0])
+        assert canonical_int_amps([2, 0, 0, 0]) == (1, 0, 0, 0)
 
     def test_global_phase_removed(self):
-        assert np.allclose(normalize([-1, 0, 0, 0]).amps, [1, 0, 0, 0])
+        assert canonical_int_amps([-1, 0, 0, 0]) == (1, 0, 0, 0)
 
     def test_table_entry(self):
-        assert np.allclose(normalize([0, 0, 1, -1]).amps, [0, 0, SQ2, -SQ2])
+        assert canonical_int_amps([0, 0, 1, -1]) == (0, 0, 1, -1)
+        assert canonical_int_amps([0, 0, -3, 3]) == (0, 0, 1, -1)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
-            normalize([0, 0, 0, 0])
+            canonical_int_amps([0, 0, 0, 0])
 
-    @given(nonzero_vectors())
-    @settings(max_examples=200, deadline=None)
-    def test_idempotent_exactly(self, v):
-        r1 = normalize(v)
-        r2 = normalize(r1.amps)
-        assert np.array_equal(r1.amps, r2.amps)
+    def test_idempotent_exactly(self):
+        for v in SMALL_VECTORS:
+            c = canonical_int_amps(v)
+            assert canonical_int_amps(c) == c
 
-    @given(nonzero_vectors(), st.floats(0, 2 * math.pi))
-    @settings(max_examples=100, deadline=None)
-    def test_proportional_inputs_identical(self, v, phi):
-        phase = complex(math.cos(phi), math.sin(phi))
-        a = normalize(v)
-        b = normalize([2.5 * phase * x for x in v])
-        assert np.allclose(a.amps, b.amps, atol=1e-12)
+    def test_proportional_inputs_identical(self):
+        for v in SMALL_VECTORS:
+            for k in (-3, -1, 2, 5):
+                assert canonical_int_amps([k * x for x in v]) == canonical_int_amps(v)
 
-    @given(nonzero_vectors())
-    @settings(max_examples=100, deadline=None)
-    def test_unit_norm_and_positive_lead(self, v):
-        r = normalize(v)
-        assert abs(np.vdot(r.amps, r.amps).real - 1) < 1e-12
-        lead = r.amps[np.flatnonzero(np.abs(r.amps) > 1e-12)[0]]
-        assert lead.imag == 0 and lead.real > 0
+    def test_unit_norm_and_positive_lead(self):
+        for v in SMALL_VECTORS:
+            c = canonical_int_amps(v)
+            assert math.gcd(*c) == 1
+            assert next(x for x in c if x != 0) > 0
 
 
 class TestInnerProduct:
-    def test_self_overlap(self):
-        u = normalize([1, 0, 0, 0])
-        assert inner_product(u, u) == pytest.approx(1)
+    def test_self_overlap(self, ks18):
+        for v in ks18.vectors:
+            assert exact_overlap_sq(v.raw_amps, v.raw_amps) == 1
 
     def test_orthogonal(self):
-        assert inner_product(normalize([1, 0, 0, 0]), normalize([0, 1, 0, 0])) == 0
+        assert exact_inner([1, 0, 0, 0], [0, 1, 0, 0]) == 0
+        assert exact_overlap_sq([1, 0, 0, 0], [0, 1, 0, 0]) == 0
 
     def test_half_overlap(self):
-        v = inner_product(normalize([1, 0, 0, 0]), normalize([1, 1, 1, 1]))
-        assert v == pytest.approx(0.5)
+        # <(1,0,0,0)|(1,1,1,1)/2> = 1/2
+        assert exact_inner([1, 0, 0, 0], [1, 1, 1, 1]) == 1
+        assert exact_overlap_sq([1, 0, 0, 0], [1, 1, 1, 1]) == F(1, 4)
 
-    def test_conjugate_linear_in_first_argument(self):
-        u = normalize([1, 1j, 0, 0])
-        v = normalize([1, 0, 1, 0])
-        assert inner_product(u, v) == pytest.approx(np.conj(inner_product(v, u)))
+
+class TestRayEquals:
+    """Two integer vectors are one ray iff their squared overlap is 1."""
+
+    def test_sign_flip(self):
+        assert exact_overlap_sq([1, 0, 0, 0], [-1, 0, 0, 0]) == 1
+        assert canonical_int_amps([1, 0, 0, 0]) == canonical_int_amps([-1, 0, 0, 0])
+
+    def test_orthogonal(self):
+        assert exact_overlap_sq([0, 0, 1, 1], [0, 0, 1, -1]) == 0
+        assert canonical_int_amps([0, 0, 1, 1]) != canonical_int_amps([0, 0, 1, -1])
+
+    def test_equivalence_relation_on_corpus(self, ks18):
+        # The set's rays with a scaled and a negated copy of each.
+        corpus = [k * np.array(v.raw_amps) for v in ks18.vectors for k in (1, -1, 2)]
+        same = np.array([[exact_overlap_sq(u, v) == 1 for v in corpus] for u in corpus])
+        canon = [canonical_int_amps(u) for u in corpus]
+        assert (same == np.array([[a == b for b in canon] for a in canon])).all()
+        assert same.diagonal().all() and (same == same.T).all()
+        # transitive: two steps of "same ray" never leave the relation
+        assert ((same.astype(int) @ same.astype(int) > 0) <= same).all()
+        assert same.sum() == 18 * 3 * 3
 
 
 class TestBornProbabilities:
+    """Exact Born probabilities, and the outcome table the kernel samples."""
+
+    def check(self, ks, vector_id, label, expect):
+        probs = ksset.exact_basis_probs(ks, vector_id, label)
+        assert probs == expect
+        tables = kernel.build_tables(ks)
+        counts = slot_counts(tables, vector_id, ks.basis_index(label))
+        assert counts == tuple(int(16 * p) for p in expect)
+
     def test_eigenstate(self, ks18):
-        basis = ks18.meas_basis("I")
-        p = born_probabilities(basis.rays[0], basis)
-        assert np.allclose(p, [1, 0, 0, 0], atol=1e-12)
+        self.check(ks18, ks18.bases[0].members[0], "I", (F(1), F(0), F(0), F(0)))
 
     def test_two_half_profile(self, ks18):
-        p = born_probabilities(normalize([1, 0, 0, 0]), ks18.meas_basis("VIII"))
-        assert np.allclose(p, [0, 0.5, 0.5, 0], atol=1e-12)
+        # (1,0,0,0) in basis VIII
+        self.check(ks18, 0, "VIII", (F(0), F(1, 2), F(1, 2), F(0)))
 
     def test_quarter_profile(self, ks18):
-        p = born_probabilities(normalize([1, 1, 1, 1]), ks18.meas_basis("I"))
-        assert np.allclose(p, [0.25, 0.25, 0.5, 0], atol=1e-12)
+        # (1,1,1,1) in basis I
+        self.check(ks18, 4, "I", (F(1, 4), F(1, 4), F(1, 2), F(0)))
 
     def test_sums_to_one_all_pairs(self, ks18):
+        tables = kernel.build_tables(ks18)
         for v in ks18.vectors:
-            for b in ks18.bases:
-                p = born_probabilities(v.ray, ks18.meas_basis(b.label))
-                assert abs(p.sum() - 1) < 1e-12
-                assert (p >= 0).all() and (p <= 1 + 1e-12).all()
+            for bi, b in enumerate(ks18.bases):
+                probs = ksset.exact_basis_probs(ks18, v.id, b.label)
+                assert sum(probs) == 1
+                assert all(0 <= p <= 1 for p in probs)
+                # Outcome k + 1 fills exactly 16 * p_k of the sixteen slots.
+                assert slot_counts(tables, v.id, bi) == tuple(16 * p for p in probs)
 
     def test_exact_denominators_divide_16(self, ks18):
         for v in ks18.vectors:
@@ -117,50 +142,62 @@ class TestBornProbabilities:
 
 
 class TestSampling:
+    """Bob's Born outcome as the round kernel draws it."""
+
     def test_deterministic_outcome(self, ks18):
-        basis = ks18.meas_basis("I")
-        for rand in (0.0, 0.3, 0.999):
-            assert sample_outcome(basis.rays[2], basis, rand) == 3
+        # (0,0,1,1), outcome 3 of basis I, measured in basis I
+        ua0, ua1 = centre(0, 9), centre(2, 4)
+        cols = steer(ks18, ua0, ua1, centre(0, 9), [0.0, 0.3, 0.999])
+        assert cols["bob_outcome"].tolist() == [3, 3, 3]
 
     def test_inverse_cdf_boundaries(self, ks18):
         # (1,0,0,0) in basis VIII has probabilities (0, 1/2, 1/2, 0)
-        state = normalize([1, 0, 0, 0])
-        basis = ks18.meas_basis("VIII")
-        assert sample_outcome(state, basis, 0.25) == 2
-        assert sample_outcome(state, basis, 0.5) == 3  # half-open interval
-        assert sample_outcome(state, basis, 0.75) == 3
+        ua0, ua1 = sending(ks18, 0)
+        cols = steer(ks18, ua0, ua1, centre(7, 9), [0.25, 0.5, 0.75])
+        assert cols["bob_outcome"].tolist() == [2, 3, 3]  # half-open intervals
 
     def test_scalar_matches_vectorized(self, ks18):
-        state = normalize([1, 1, 1, 1])
-        basis = ks18.meas_basis("I")
+        # A round's outcome depends on its own draws only, not on the batch.
+        tables = kernel.build_tables(ks18)
+        assign = kernel.assignment_table(ks18, None)
         rng = np.random.default_rng(5)
-        u = rng.random(2000)
-        batch = sample_outcomes(state, basis, u)
-        assert [sample_outcome(state, basis, x) for x in u] == batch.tolist()
+        ua, ub, un, ue = rng.random((4, 300, 2))
+        batch = kernel.simulate_rounds(tables, assign, "intercept_resend",
+                                       NoiseSpec(), ua, ub, un, ue)["bob_outcome"]
+        single = [
+            kernel.simulate_rounds(tables, assign, "intercept_resend", NoiseSpec(),
+                                   ua[i:i + 1], ub[i:i + 1], un[i:i + 1],
+                                   ue[i:i + 1])["bob_outcome"][0]
+            for i in range(300)
+        ]
+        assert single == batch.tolist()
 
     def test_empirical_frequencies(self, ks18):
-        state = normalize([1, 1, 1, 1])
-        basis = ks18.meas_basis("I")  # probabilities (1/4, 1/4, 1/2, 0)
+        # (1,1,1,1) in basis I has probabilities (1/4, 1/4, 1/2, 0)
         n = 100_000
         u = np.random.default_rng(11).random(n)
-        outcomes = sample_outcomes(state, basis, u)
+        outcomes = steer(ks18, *sending(ks18, 4), centre(0, 9), u)["bob_outcome"]
         for k, p in enumerate([0.25, 0.25, 0.5, 0.0], start=1):
             freq = (outcomes == k).mean()
             band = 3 * math.sqrt(p * (1 - p) / n)
             assert abs(freq - p) <= band
 
     def test_chi_square_all_state_basis_pairs(self, ks18):
-        """Sampling law at significance 0.001 over all 144 in-set pairs."""
+        """Sampling law at significance 0.001 over all 162 in-set pairs."""
         scipy_stats = pytest.importorskip("scipy.stats")
         n = 100_000
+        nb = len(ks18.bases)
         rng = np.random.default_rng(2024)
         for v in ks18.vectors:
-            for b in ks18.bases:
-                basis = ks18.meas_basis(b.label)
-                p = born_probabilities(v.ray, basis)
-                outcomes = sample_outcomes(v.ray, basis, rng.random(n))
-                counts = np.bincount(outcomes, minlength=5)[1:]
-                live = p > 1e-12
+            # n rounds of this state in each basis, basis after basis
+            bob_basis = np.repeat(np.arange(nb), n)
+            outcomes = steer(ks18, *sending(ks18, v.id), centre(bob_basis, nb),
+                             rng.random(nb * n))["bob_outcome"].reshape(nb, n)
+            for bi, b in enumerate(ks18.bases):
+                p = np.array([float(x) for x in
+                              ksset.exact_basis_probs(ks18, v.id, b.label)])
+                counts = np.bincount(outcomes[bi], minlength=5)[1:]
+                live = p > 0
                 assert counts[~live].sum() == 0
                 if live.sum() < 2:
                     continue
@@ -168,61 +205,23 @@ class TestSampling:
                 assert pval > 0.001, (v.id, b.label, pval)
 
 
-class TestRayEquals:
-    def test_sign_flip(self):
-        assert ray_equals(normalize([1, 0, 0, 0]), normalize([-1, 0, 0, 0]))
-
-    def test_orthogonal(self):
-        assert not ray_equals(normalize([0, 0, 1, 1]), normalize([0, 0, 1, -1]))
-
-    def test_phase_i(self):
-        u = normalize([1, 1, 0, 0])
-        v = normalize([1j, 1j, 0, 0])
-        assert ray_equals(u, v)
-
-    def test_equivalence_relation_on_corpus(self, ks18):
-        rays = [v.ray for v in ks18.vectors]
-        for u in rays:
-            assert ray_equals(u, u)
-        for u in rays:
-            for v in rays:
-                assert ray_equals(u, v) == ray_equals(v, u)
-                for w in rays:
-                    if ray_equals(u, v) and ray_equals(v, w):
-                        assert ray_equals(u, w)
-
-
 class TestEntanglement:
     def test_bell_like_state(self):
-        assert is_hybrid_entangled(normalize([1, 0, 0, 1]))
+        assert qcore.exact_entanglement_det([1, 0, 0, 1]) != 0
 
     def test_product_state(self):
-        assert not is_hybrid_entangled(normalize([1, 0, 0, 0]))
+        assert qcore.exact_entanglement_det([1, 0, 0, 0]) == 0
 
     def test_separable_superposition(self):
-        assert not is_hybrid_entangled(normalize([1, 1, -1, -1]))
-
-    @pytest.mark.parametrize("phi", [0.7, 2.0, 4.5])
-    def test_invariant_under_local_phase(self, phi):
-        phase = complex(math.cos(phi), math.sin(phi))
-        for amps in ([1, 0, 0, 1], [1, 1, -1, -1], [-1, 1, 1, 1]):
-            base = is_hybrid_entangled(normalize(amps))
-            a = np.array(amps, dtype=complex)
-            row = a.copy()
-            row[:2] *= phase  # phase on the first polarization row
-            col = a.copy()
-            col[::2] *= phase  # phase on the first OAM column
-            assert is_hybrid_entangled(normalize(phase * a)) == base
-            assert is_hybrid_entangled(normalize(row)) == base
-            assert is_hybrid_entangled(normalize(col)) == base
+        assert qcore.exact_entanglement_det([1, 1, -1, -1]) == 0
 
 
 class TestRenderKet:
     def test_single_term(self):
-        assert render_hybrid_ket(normalize([0, 1, 0, 0])) == "|H,−1⟩"
+        assert render_hybrid_ket([0, 1, 0, 0]) == "|H,−1⟩"
 
     def test_equal_pair(self):
-        s = render_hybrid_ket(normalize([0, 0, 1, 1]))
+        s = render_hybrid_ket([0, 0, 1, 1])
         assert s == "0.7071|V,+1⟩ + 0.7071|V,−1⟩"
 
     def test_table_row_with_leading_minus(self):
@@ -241,12 +240,16 @@ class TestExactHelpers:
         assert probs == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(0))
 
     def test_orthogonal_basis_required(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="orthogonal"):
             qcore.exact_born((1, 0, 0, 0), [(1, 0, 0, 0)] * 4)
 
     def test_non_orthogonal_meas_basis_rejected(self):
-        rays = tuple(
-            normalize(a) for a in ([1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
-        )
-        with pytest.raises(ValueError):
-            MeasBasis("bad", rays)
+        basis = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        with pytest.raises(ValueError, match="orthogonal"):
+            qcore.exact_born((1, 0, 0, 0), basis)
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ZeroVectorError):
+            exact_overlap_sq((0, 0, 0, 0), (1, 0, 0, 0))
+        with pytest.raises(ZeroVectorError):
+            render_hybrid_ket([0, 0, 0, 0])
