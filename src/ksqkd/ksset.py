@@ -14,6 +14,7 @@ All structural computations here are exact (integers / Fractions).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -320,99 +321,94 @@ def _search_order(ks: KSSet) -> list[int]:
 _PERMS = tuple(itertools.permutations(SYMBOLS))
 
 
+def _first_within(ks: KSSet, order, bound: int) -> list[tuple[int, ...]] | None:
+    """The first labeling with at most ``bound`` defective vectors, or None.
+
+    Depth first over the bases in ``order``, each trying its bijections in
+    lexicographic order, the first basis pinned to the identity; a branch
+    is cut as soon as its defect count exceeds ``bound``.  Leaves are
+    reached in lexicographic order of the per-basis symbol table taken in
+    ``order``, and the first leaf is returned as one bijection per basis.
+    """
+    # Per depth: the (position, id) pairs of vectors labeled at an earlier
+    # depth and of those labeled here, each at its first position in the
+    # basis, and the vectors the basis holds twice (defective whatever the
+    # bijection).
+    steps, seen = [], set()
+    for i in order:
+        members = ks.bases[i].members
+        firsts = [(p, v) for p, v in enumerate(members) if v not in members[:p]]
+        steps.append(([(p, v) for p, v in firsts if v in seen],
+                      [(p, v) for p, v in firsts if v not in seen],
+                      {v for v in members if members.count(v) > 1}))
+        seen.update(members)
+    # Symbol from a vector's first basis, 0 once the vector is defective.
+    # A vector is written at its first depth and read only below it, so
+    # only the defect marks need undoing on the way back up.
+    labels = [0] * len(ks.vectors)
+    chosen: list[tuple[int, ...]] = []
+
+    @functools.cache
+    def options(k: int, need: tuple[int, ...], slack: int):
+        """Depth k's bijections, each with the vectors it newly makes defective."""
+        old, new, twice = steps[k]
+        born_bad = [v for _, v in new if v in twice]
+        out = []
+        for perm in _PERMS[:1] if k == 0 else _PERMS:
+            bad = born_bad + [
+                v for (p, v), s in zip(old, need) if s and (v in twice or perm[p] != s)
+            ]
+            if len(bad) <= slack:
+                out.append((perm, bad))
+        return out
+
+    def walk(k: int, slack: int) -> bool:
+        if k == len(steps):
+            return True
+        old, new, _ = steps[k]
+        for perm, bad in options(k, tuple(labels[v] for _, v in old), slack):
+            for p, v in new:
+                labels[v] = perm[p]
+            saved = [labels[v] for v in bad]
+            for v in bad:
+                labels[v] = 0
+            chosen.append(perm)
+            if walk(k + 1, slack - len(bad)):
+                return True
+            chosen.pop()
+            for v, s in zip(bad, saved):
+                labels[v] = s
+        return False
+
+    return chosen if walk(0, bound) else None
+
+
 def min_symbol_mismatch(ks: KSSet) -> MismatchReport:
     """Exact minimum number of defective vectors over all symbol labelings.
 
-    Depth-first branch and bound over per-basis bijections: bases are
-    processed in an overlap-maximizing order, a greedy pass seeds the
-    incumbent, and branches whose partial defect count already exceeds
-    the incumbent are cut.  Among optimal labelings the one whose symbol
-    table is lexicographically smallest in basis order wins, so the
-    witness is deterministic.
+    Two first-hit searches (:func:`_first_within`).  The value: for
+    bound = 0, 1, 2, ... search with the bases in an overlap-maximizing
+    order until some labeling fits; each smaller bound was searched
+    exhaustively and failed, so the search itself proves the minimum.
+    The witness: one more search at that minimum, in basis order, whose
+    first leaf is the optimum with the lexicographically smallest symbol
+    table in basis order.  A global symbol relabeling keeps every defect
+    count, so pinning the first basis to the identity loses no optimum
+    that could come first, and the witness is deterministic.
     """
     order = _search_order(ks)
-    nb = len(ks.bases)
-    members = [ks.bases[i].members for i in order]
-
-    def new_mismatches(labels: dict[int, int], basis_idx: int, perm) -> int:
-        m = 0
-        for pos in range(4):
-            vid = members[basis_idx][pos]
-            prev = labels.get(vid)
-            if prev is not None and prev != perm[pos]:
-                m += 1
-        return m
-
-    def assign(labels: dict[int, int], basis_idx: int, perm):
-        changed = []
-        for pos in range(4):
-            vid = members[basis_idx][pos]
-            if vid not in labels:
-                labels[vid] = perm[pos]
-                changed.append(vid)
-        return changed
-
-    # greedy incumbent
-    labels: dict[int, int] = {}
-    greedy: list[tuple[int, ...]] = []
-    greedy_cost = 0
-    for bi in range(nb):
-        perm = min(_PERMS, key=lambda p: (new_mismatches(labels, bi, p), p))
-        greedy_cost += new_mismatches(labels, bi, perm)
-        assign(labels, bi, perm)
-        greedy.append(perm)
-
-    best_cost = greedy_cost
-    best_perms = list(greedy)
-
-    def lex_key(perms_by_order):
-        by_label = [None] * nb
-        for k, bi in enumerate(order):
-            by_label[bi] = perms_by_order[k]
-        return tuple(by_label)
-
-    best_key = lex_key(best_perms)
-    chosen: list[tuple[int, ...]] = []
-
-    def walk(bi: int, labels: dict[int, int], cost: int):
-        nonlocal best_cost, best_perms, best_key
-        if cost > best_cost:
-            return
-        if bi == nb:
-            key = lex_key(chosen)
-            if cost < best_cost or (cost == best_cost and key < best_key):
-                best_cost = cost
-                best_perms = list(chosen)
-                best_key = key
-            return
-        # A global symbol relabeling never changes the defect count, so the
-        # lexicographically smallest optimum has the first basis at identity.
-        options = (_PERMS[0],) if bi == 0 else _PERMS
-        for perm in options:
-            c = cost + new_mismatches(labels, bi, perm)
-            if c > best_cost:
-                continue
-            added = assign(labels, bi, perm)
-            chosen.append(perm)
-            walk(bi + 1, labels, c)
-            chosen.pop()
-            for vid in added:
-                del labels[vid]
-
-    walk(0, {}, 0)
-
-    symbols = {}
-    for k, bi in enumerate(order):
-        symbols[ks.bases[bi].label] = best_perms[k]
-    witness = SymbolAssignment(symbols)
+    best = 0
+    while _first_within(ks, order, best) is None:
+        best += 1
+    perms = _first_within(ks, range(len(ks.bases)), best)
+    witness = SymbolAssignment({b.label: p for b, p in zip(ks.bases, perms)})
     bad = defective_vectors(ks, witness)
-    # Defect counting above tracks only the *first* label of each vector, so
-    # re-derive the count from the witness itself as a consistency check.
-    if len(bad) != best_cost:
+    # Re-derive the count from the witness itself as a consistency check.
+    if len(bad) != best:
         raise RuntimeError(
-            f"witness has {len(bad)} defective vectors, search found {best_cost}"
+            f"witness has {len(bad)} defective vectors, search found {best}"
         )
-    return MismatchReport(best_cost, bad, witness)
+    return MismatchReport(best, bad, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +494,10 @@ def parse_set_file(text: str) -> KSSet:
             if kind == "vector":
                 if len(fields) != 4:
                     raise ValueError("expected 4 amplitudes")
-                vecs[int(name)] = tuple(int(x) for x in fields)
+                amps = tuple(int(x) for x in fields)
+                if not any(amps):
+                    raise ValueError("zero vector")
+                vecs[int(name)] = amps
             elif kind == "basis":
                 if len(fields) != 4:
                     raise ValueError("expected 4 vector ids")

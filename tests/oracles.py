@@ -1,8 +1,9 @@
 """Independent reference computations used to cross-check the package.
 
 These deliberately take different routes than the implementation under
-test: bit-level enumeration for colorings, a vectorized product scan and
-a graph-coloring formulation for the symbol-mismatch minimum, and, for
+test: bit-level enumeration for colorings, a vectorized product scan for
+the symbol-mismatch minimum and its lexicographically smallest witness, a
+graph-coloring formulation for the minimum, and, for
 the vectorized round kernel, a per-round Python loop that searches Born
 numerators it derives itself from the set's integer amplitudes, with no
 use of the kernel's tables.
@@ -38,25 +39,49 @@ def _shared_pairs(ks):
     return out
 
 
-def naive_min_mismatch(ks) -> int:
-    """Minimum mismatch by enumerating every per-basis bijection.
+def _product_scan(ks):
+    """Defective-vector count of every labeling, by a vectorized scan.
 
     The first basis is pinned to the identity labeling (a global symbol
-    relabeling never changes the defect count).  Feasible up to ~5 bases.
+    relabeling never changes the defect count).  The base-24 digits of
+    index ``i`` pick the bijections of bases 1..n-1, basis 1 the most
+    significant, so indices run in lexicographic order of the symbol
+    table in basis order.  A vector is defective when any of its
+    incidences differs from its first.  Feasible up to ~5 bases.
     """
     nb = len(ks.bases)
-    shared = _shared_pairs(ks)
-    if nb <= 1 or not shared:
-        return 0
-    n = 24 ** (nb - 1)
-    idx = np.arange(n, dtype=np.int64)
-    perm_idx = [np.zeros(n, dtype=np.int64)]
+    idx = np.arange(24 ** (nb - 1), dtype=np.int64)
+    perm_idx = [np.zeros_like(idx)]
     for b in range(1, nb):
-        perm_idx.append((idx // (24 ** (b - 1))) % 24)
-    total = np.zeros(n, dtype=np.int16)
-    for b1, p1, b2, p2, _ in shared:
-        total += _PERMS[perm_idx[b1], p1] != _PERMS[perm_idx[b2], p2]
-    return int(total.min())
+        perm_idx.append((idx // 24 ** (nb - 1 - b)) % 24)
+    total = np.zeros(len(idx), dtype=np.int16)
+    for v in ks.vectors:
+        (lab0, p0), *rest = ks.incidence[v.id]
+        first = _PERMS[perm_idx[ks.basis_index(lab0)], p0]
+        defective = np.zeros(len(idx), dtype=bool)
+        for lab, p in rest:
+            defective |= _PERMS[perm_idx[ks.basis_index(lab)], p] != first
+        total += defective
+    return perm_idx, total
+
+
+def naive_min_mismatch(ks) -> int:
+    """Minimum mismatch by enumerating every per-basis bijection."""
+    return int(_product_scan(ks)[1].min())
+
+
+def lex_min_witness(ks) -> dict:
+    """The optimal labeling whose symbol table is lexicographically smallest.
+
+    ``argmin`` returns the first minimal index of the scan, and indices
+    run in lexicographic order of the table.
+    """
+    perm_idx, total = _product_scan(ks)
+    i = int(np.argmin(total))
+    return {
+        b.label: tuple(int(s) for s in _PERMS[perm_idx[k][i]])
+        for k, b in enumerate(ks.bases)
+    }
 
 
 def defect_subset_min_mismatch(ks, upper: int) -> int:

@@ -104,6 +104,21 @@ class TestVerify:
         assert code == 2
 
 
+class TestBadSetFile:
+    @pytest.mark.parametrize("command", ["verify", "color", "mismatch"])
+    def test_zero_vector_exits_2(self, capsys, tmp_path, ks18, command):
+        # Exit 1 from verify would read as a failed structural check.
+        text = ksset.format_set_file(ks18).replace(
+            "vector 0: 1 0 0 0", "vector 0: 0 0 0 0"
+        )
+        p = tmp_path / "zero.ks"
+        p.write_text(text)
+        assert main([command, "--set", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "vector 0: 0 0 0 0" in err
+
+
 class TestAnalyze:
     def test_builtin_document(self, run):
         code, out = run("analyze")

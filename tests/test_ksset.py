@@ -125,6 +125,12 @@ class TestParityBound:
 
 
 class TestMinMismatch:
+    BUILTIN_WITNESS = {
+        "I": (1, 2, 3, 4), "II": (1, 2, 3, 4), "III": (1, 2, 3, 4),
+        "IV": (3, 2, 1, 4), "V": (1, 2, 4, 3), "VI": (1, 3, 2, 4),
+        "VII": (4, 2, 1, 3), "VIII": (4, 1, 3, 2), "IX": (2, 3, 1, 4),
+    }
+
     def test_builtin_minimum_is_two(self, optimal_witness):
         assert optimal_witness.mismatch_count == 2
         assert len(optimal_witness.defective_vector_ids) == 2
@@ -176,6 +182,43 @@ class TestMinMismatch:
     def test_deterministic_witness(self, ks18, optimal_witness):
         again = min_symbol_mismatch(builtin_ks18())
         assert again.witness.symbols == optimal_witness.witness.symbols
+
+    def test_builtin_witness_pinned(self, optimal_witness):
+        # The ball attack's `ball_assignment = optimal` table; a change here
+        # changes every ball-attack report.
+        assert optimal_witness.witness.symbols == self.BUILTIN_WITNESS
+        assert optimal_witness.defective_vector_ids == [2, 7]
+
+    def test_witness_matches_oracle_small_instances(self, ks18):
+        labels = [b.label for b in ks18.bases]
+        for nb in (1, 2, 3, 4):
+            for keep in itertools.combinations(labels, nb):
+                sub = oracles.subset_ks(ksset, ks18, keep)
+                rep = min_symbol_mismatch(sub)
+                assert rep.witness.symbols == oracles.lex_min_witness(sub), keep
+                assert rep.mismatch_count == oracles.naive_min_mismatch(sub), keep
+
+    @pytest.mark.parametrize("ids", [
+        ((0, 1, 2, 3), (2, 4, 3, 1), (1, 3, 0, 4), (1, 2, 0, 4)),  # rays in 3-4 bases
+        ((0, 0, 2, 3), (0, 1, 2, 3)),  # a basis holding a ray twice ...
+        ((0, 1, 2, 3), (0, 0, 2, 3)),  # ... that an earlier basis labeled
+    ])
+    def test_exact_off_two_bases_per_ray(self, ids):
+        # The search counts defective vectors, not clashes with a vector's
+        # first symbol, so it stays exact where a ray is not in two bases.
+        e = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))
+        ks = build_set([(f"B{i}", tuple(e[v] for v in m)) for i, m in enumerate(ids)])
+        rep = min_symbol_mismatch(ks)
+        assert rep.mismatch_count == oracles.naive_min_mismatch(ks) == 1
+        assert rep.witness.symbols == oracles.lex_min_witness(ks)
+
+    def test_minimum_independent_of_parity_bound(self, monkeypatch):
+        # The search proves the minimum on its own, so the parity bound
+        # can be checked against it.
+        monkeypatch.setattr(ksset, "parity_lower_bound", lambda ks: 5)
+        rep = min_symbol_mismatch(builtin_ks18())
+        assert rep.mismatch_count == 2
+        assert rep.witness.symbols == self.BUILTIN_WITNESS
 
 
 class TestSymbolAssignment:
@@ -247,6 +290,8 @@ class TestSetFiles:
             parse_set_file("basis I: 0 1 2 3\n")
         with pytest.raises(ksset.SetFormatError):
             parse_set_file("not a record\n")
+        with pytest.raises(ksset.SetFormatError, match="zero vector"):
+            parse_set_file("vector 0: 0 0 0 0\nbasis I: 0 0 0 0\n")
 
     def test_assignment_file(self, ks18):
         text = "\n".join(
