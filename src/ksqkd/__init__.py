@@ -1,13 +1,14 @@
 """Simulator and analysis toolkit for contextuality-protected QKD.
 
 Modules:
-    qcore     -- exact linear algebra for integer-amplitude ququart states
+    qcore     -- exact integer arithmetic on integer-amplitude ququart states
     ksset     -- the 18-vector KS set, colorability, minimum mismatch
-    channels  -- depolarizing noise and its analytic error rate
-    adversary -- classical ball attack and intercept-resend
-    protocol  -- round generation, sifting, certification, key extraction
-    cli       -- verify / analyze / simulate / sweep commands
+    channels  -- the depolarizing noise spec
+    adversary -- ball and intercept-resend specs, exact intercept-resend rates
+    protocol  -- session runs, error statistics, certification, key extraction
     kernel    -- exact outcome tables and the vectorized NumPy round kernel
+    cli       -- verify / color / mismatch / analyze / simulate / sweep /
+                 intercept commands
 """
 
 __version__ = "0.1.0"

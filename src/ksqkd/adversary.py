@@ -14,7 +14,7 @@ certification threshold.
 
 The per-round behaviour of both attacks lives in the round kernel
 (``kernel.simulate_rounds``); this module holds their specification and
-their exact expected rates.
+the exact intercept-resend rates.
 """
 
 from __future__ import annotations
@@ -40,34 +40,12 @@ class AdversarySpec:
             raise ValueError("ball adversary requires a symbol assignment")
 
 
-def expected_ball_attack_stats(
-    ks: KSSet, assignment: SymbolAssignment
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Analytic (w_same, w_cross, w_overall) under uniform basis/state draws.
-
-    Same-basis rounds are always consistent.  Conditioned on a sifted
-    cross-basis round every vector is equally likely, so the error rate
-    is the defective fraction; overall the two sifted classes carry equal
-    weight.
-    """
-    from .ksset import defective_vectors
-
-    d = len(defective_vectors(ks, assignment))
-    n = len(ks.vectors)
-    w_cross = Fraction(d, n)
-    return Fraction(0), w_cross, w_cross / 2
-
-
-def exact_intercept_resend_w(
-    ks: KSSet, eve_matches_alice: bool = False
-) -> tuple[Fraction, Fraction, Fraction]:
+def exact_intercept_resend_w(ks: KSSet) -> tuple[Fraction, Fraction, Fraction]:
     """Exact (w_same, w_cross, w_overall) of intercept-resend by enumeration.
 
     Sums exact Born weights over Alice's 36 (basis, state) incidences,
     Eve's 9 bases and 4 outcomes, and Bob's sifting bases (the state's
-    home bases).  ``eve_matches_alice`` is a diagnostic mode where Eve
-    measures in Alice's own basis, which is nondisturbing and must give
-    zero error everywhere.
+    home bases).
     """
     raw = {v.id: v.raw_amps for v in ks.vectors}
     basis_amps = {
@@ -76,14 +54,10 @@ def exact_intercept_resend_w(
     weight = {"same": Fraction(0), "cross": Fraction(0)}
     errors = {"same": Fraction(0), "cross": Fraction(0)}
     n_inc = sum(len(ks.incidence[v.id]) for v in ks.vectors)
+    w_eve = Fraction(1, n_inc * len(ks.bases))
     for v in ks.vectors:
         for alice_label, _ in ks.incidence[v.id]:
-            w_alice = Fraction(1, n_inc)
-            eve_labels = [alice_label] if eve_matches_alice else [
-                b.label for b in ks.bases
-            ]
-            for eve_label in eve_labels:
-                w_eve = w_alice / len(eve_labels)
+            for eve_label in basis_amps:
                 eve_probs = qcore.exact_born(raw[v.id], basis_amps[eve_label])
                 for k, pk in enumerate(eve_probs):
                     if pk == 0:

@@ -29,14 +29,3 @@ class NoiseSpec:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability {self.p} outside [0, 1]")
 
-
-def analytic_w(spec: NoiseSpec) -> tuple[float, float]:
-    """Exact (w, F) for a noise spec.
-
-    A depolarized round still lands on the correct detector with
-    probability 1/4, so w = p - p/4 = 3p/4.
-    """
-    if spec.kind == "none":
-        return 0.0, 1.0
-    w = 0.75 * spec.p
-    return w, 1.0 - w

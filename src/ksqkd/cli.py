@@ -1,8 +1,10 @@
-"""Command line interface: verify / analyze / simulate / sweep.
+"""Command line interface: verify / color / mismatch / analyze / simulate /
+sweep / intercept.
 
 All outputs are machine-first (JSON or CSV), carry no timestamps, and are
 byte-reproducible from their inputs.  Exit codes: 0 success (or SECURE
-with --certify), 1 check failure / INSECURE, 2 bad input, 3 INDETERMINATE.
+with --certify), 1 check failure / INSECURE, 2 bad input (including an
+unreadable input file or an unwritable --out), 3 INDETERMINATE.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> SessionCo
         try:
             with open(path) as fh:
                 parser.read_file(fh)
-        except (OSError, configparser.Error) as exc:
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for section in parser.sections():
             if section not in _KNOWN_KEYS:
@@ -81,23 +83,36 @@ def _load_adversary(section: dict) -> AdversarySpec:
     else:
         try:
             text = Path(source).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read ball_assignment {source}: {exc}") from exc
         assignment = ksset.parse_assignment_file(text, ks)
     return AdversarySpec(kind="ball", ball_assignment=assignment)
 
 
 def _load_set(path: str | None):
+    """The set file at `path` (builtin when None); None after an error message."""
     if path is None:
         return ksset.builtin_ks18()
-    return ksset.parse_set_file(Path(path).read_text())
+    try:
+        return ksset.parse_set_file(Path(path).read_text())
+    except (OSError, SetFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot read set {path}: {exc}", file=sys.stderr)
+    return None
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(text: str, out_path: str | None) -> bool:
+    """Write `text` to stdout or `out_path`; False after an error message."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         Path(out_path).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +120,8 @@ def _emit(text: str, out_path: str | None):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    try:
-        ks = _load_set(args.set)
-    except (OSError, SetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    ks = _load_set(args.set)
+    if ks is None:
         return 2
     report = ksset.verify_ks_structure(ks)
     print(str(report))
@@ -116,10 +129,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_color(args) -> int:
-    try:
-        ks = _load_set(args.set)
-    except (OSError, SetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    ks = _load_set(args.set)
+    if ks is None:
         return 2
     result = ksset.enumerate_valid_colorings(ks)
     doc = {"colorings": result.count, "list": [list(c) for c in result.colorings]}
@@ -128,10 +139,8 @@ def cmd_color(args) -> int:
 
 
 def cmd_mismatch(args) -> int:
-    try:
-        ks = _load_set(args.set)
-    except (OSError, SetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    ks = _load_set(args.set)
+    if ks is None:
         return 2
     rep = ksset.min_symbol_mismatch(ks)
     doc = {
@@ -164,7 +173,8 @@ def cmd_analyze(args) -> int:
         "profiles_ok": ksset.wrong_basis_profiles(ks).ok,
         "entangled_count": sum(ksset.entanglement_table(ks).values()),
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    if not _emit(json.dumps(doc, indent=2) + "\n", args.out):
+        return 2
     ok = all(doc[k] == v for k, v in _ANALYZE_EXPECT.items())
     return 0 if ok else 1
 
@@ -176,7 +186,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = protocol.run_session(config)
-    _emit(report.to_json(), args.out)
+    if not _emit(report.to_json(), args.out):
+        return 2
     if not args.certify:
         return 0
     if report.certified is None:
@@ -228,8 +239,7 @@ def cmd_sweep(args) -> int:
             _csv_cell(r.w_cross), repr(r.sift_rate), str(r.rounds_sifted),
             certified,
         ]))
-    _emit("\n".join(rows) + "\n", args.out)
-    return 0
+    return 0 if _emit("\n".join(rows) + "\n", args.out) else 2
 
 
 def cmd_intercept(args) -> int:

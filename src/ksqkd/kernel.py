@@ -30,7 +30,6 @@ class KernelTables:
     pos_table: np.ndarray   # int32[nv, nb], -1 when vector not in basis
     outcome_table: np.ndarray  # int8[nv, nb, 16], 1-based outcome per floor(16u)
     members: np.ndarray     # int32[nb, 4]
-    labels: tuple[str, ...]
 
 
 def build_tables(ks: KSSet) -> KernelTables:
@@ -64,9 +63,7 @@ def build_tables(ks: KSSet) -> KernelTables:
     # numerators at or below s (the loop `while 16u >= cum[k]: k += 1`).
     s = np.arange(PROB_DENOM)[:, None]
     outcome = 1 + (cum[:, :, None, :] <= s).sum(axis=-1)
-    return KernelTables(
-        pos, outcome.astype(np.int8), members, tuple(b.label for b in ks.bases)
-    )
+    return KernelTables(pos, outcome.astype(np.int8), members)
 
 
 def assignment_table(ks: KSSet, assignment: SymbolAssignment | None) -> np.ndarray:

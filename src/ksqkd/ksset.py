@@ -54,7 +54,6 @@ class SetFormatError(ValueError):
 class KSVector:
     id: int
     raw_amps: tuple[int, int, int, int]
-    home_bases: tuple[str, ...]  # basis labels, in basis order
 
 
 @dataclass(frozen=True)
@@ -76,19 +75,6 @@ class KSSet:
                 return b
         raise KeyError(label)
 
-    def basis_index(self, label: str) -> int:
-        for i, b in enumerate(self.bases):
-            if b.label == label:
-                return i
-        raise KeyError(label)
-
-    def position(self, vector_id: int, basis_label: str) -> int:
-        """Outcome position (0..3) of a vector inside one of its bases."""
-        for lab, pos in self.incidence[vector_id]:
-            if lab == basis_label:
-                return pos
-        raise KeyError(f"vector {vector_id} not in basis {basis_label}")
-
 
 def build_set(basis_amps) -> KSSet:
     """Assemble a KSSet from (label, 4 integer amplitude tuples) pairs.
@@ -98,7 +84,6 @@ def build_set(basis_amps) -> KSSet:
     """
     canon_to_id: dict[tuple[int, ...], int] = {}
     vec_amps: list[tuple[int, int, int, int]] = []
-    homes: list[list[str]] = []
     bases: list[KSBasisDef] = []
     for label, amps4 in basis_amps:
         members = []
@@ -109,14 +94,9 @@ def build_set(basis_amps) -> KSSet:
                 vid = len(vec_amps)
                 canon_to_id[canon] = vid
                 vec_amps.append(tuple(int(a) for a in amps))
-                homes.append([])
-            homes[vid].append(label)
             members.append(vid)
         bases.append(KSBasisDef(label, tuple(members)))
-    vectors = tuple(
-        KSVector(i, vec_amps[i], tuple(homes[i]))
-        for i in range(len(vec_amps))
-    )
+    vectors = tuple(KSVector(i, amps) for i, amps in enumerate(vec_amps))
     incidence = {
         v.id: tuple(
             (b.label, pos) for b in bases for pos in range(4) if b.members[pos] == v.id
@@ -183,13 +163,17 @@ def verify_ks_structure(ks: KSSet) -> VerificationReport:
 # Colorings
 # ---------------------------------------------------------------------------
 
+# Colorings are listed only when there are at most this many.
+COLORING_LIST_LIMIT = 100
+
+
 @dataclass
 class ColoringResult:
     count: int
     colorings: list[tuple[int, ...]]  # selected vector ids per basis, if few
 
 
-def enumerate_valid_colorings(ks: KSSet, list_limit: int = 100) -> ColoringResult:
+def enumerate_valid_colorings(ks: KSSet) -> ColoringResult:
     """Count one-ray-per-basis selections consistent across shared rays.
 
     The search walks the 4^n per-basis choice tree depth first, pruning a
@@ -227,7 +211,7 @@ def enumerate_valid_colorings(ks: KSSet, list_limit: int = 100) -> ColoringResul
         nonlocal count
         if depth == n:
             count += 1
-            if count <= list_limit:
+            if count <= COLORING_LIST_LIMIT:
                 found.append(tuple(picks))
             return
         for vid in members[depth]:
@@ -237,7 +221,7 @@ def enumerate_valid_colorings(ks: KSSet, list_limit: int = 100) -> ColoringResul
                 picks.pop()
 
     walk(0)
-    return ColoringResult(count, found if count <= list_limit else [])
+    return ColoringResult(count, found if count <= COLORING_LIST_LIMIT else [])
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +238,6 @@ class SymbolAssignment:
         for lab, syms in self.symbols.items():
             if sorted(syms) != [1, 2, 3, 4]:
                 raise ValueError(f"basis {lab}: symbols {syms} not a bijection")
-
-    def symbol(self, basis_label: str, position: int) -> int:
-        return self.symbols[basis_label][position]
 
     def vector_symbols(self, ks: KSSet, vector_id: int) -> tuple[int, ...]:
         """The symbols a vector receives in each of its home bases."""
@@ -479,10 +460,11 @@ def parse_set_file(text: str) -> KSSet:
     """Parse the line-oriented set format.
 
     Records: ``vector <id>: a1 a2 a3 a4`` and ``basis <label>: id1 id2 id3 id4``.
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored; a vector id or basis
+    label defined twice is an error.
     """
     vecs: dict[int, tuple[int, int, int, int]] = {}
-    basis_lines: list[tuple[str, tuple[int, ...]]] = []
+    basis_ids: dict[str, tuple[int, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -497,36 +479,29 @@ def parse_set_file(text: str) -> KSSet:
                 amps = tuple(int(x) for x in fields)
                 if not any(amps):
                     raise ValueError("zero vector")
-                vecs[int(name)] = amps
+                vid = int(name)
+                if vid in vecs:
+                    raise ValueError(f"vector {vid} defined twice")
+                vecs[vid] = amps
             elif kind == "basis":
                 if len(fields) != 4:
                     raise ValueError("expected 4 vector ids")
-                basis_lines.append((name, tuple(int(x) for x in fields)))
+                if name in basis_ids:
+                    raise ValueError(f"basis {name} defined twice")
+                basis_ids[name] = tuple(int(x) for x in fields)
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
         except (ValueError, IndexError) as exc:
             raise SetFormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
-    if not basis_lines:
+    if not basis_ids:
         raise SetFormatError("no basis records found")
     try:
         basis_amps = [
-            (label, tuple(vecs[i] for i in ids)) for label, ids in basis_lines
+            (label, tuple(vecs[i] for i in ids)) for label, ids in basis_ids.items()
         ]
     except KeyError as exc:
         raise SetFormatError(f"basis references unknown vector id {exc}") from exc
     return build_set(basis_amps)
-
-
-def format_set_file(ks: KSSet) -> str:
-    lines = [
-        f"vector {v.id}: " + " ".join(str(a) for a in v.raw_amps)
-        for v in ks.vectors
-    ]
-    lines += [
-        f"basis {b.label}: " + " ".join(str(i) for i in b.members)
-        for b in ks.bases
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def parse_assignment_file(text: str, ks: KSSet) -> SymbolAssignment:

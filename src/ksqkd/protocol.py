@@ -80,7 +80,7 @@ def substream(seed: int, name: str) -> np.random.Generator:
 class RoundLog:
     """Columnar transcript of a session's rounds."""
 
-    index: np.ndarray
+    index: np.ndarray         # round number 0..n-1
     alice_basis: np.ndarray   # basis index 0..8
     alice_state: np.ndarray   # vector id
     bob_basis: np.ndarray     # basis index 0..8
@@ -89,50 +89,9 @@ class RoundLog:
     check: np.ndarray         # bool (sifted check rounds)
     alice_symbol: np.ndarray  # 1..4 when sifted, 0 otherwise
     cross_basis: np.ndarray   # bool, meaningful only when sifted
-    labels: tuple[str, ...]
 
     def __len__(self):
         return len(self.index)
-
-    def permuted(self, perm: np.ndarray) -> "RoundLog":
-        return RoundLog(
-            self.index[perm], self.alice_basis[perm], self.alice_state[perm],
-            self.bob_basis[perm], self.bob_outcome[perm], self.sifted[perm],
-            self.check[perm], self.alice_symbol[perm], self.cross_basis[perm],
-            self.labels,
-        )
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    index: int
-    alice_basis: str
-    alice_state: int
-    bob_basis: str
-    bob_outcome: int
-    sifted: bool
-    check: bool
-    alice_symbol: int | None
-    error: bool | None         # defined for sifted check rounds only
-    cross_basis: bool | None   # defined for sifted rounds only
-
-
-def record(log: RoundLog, i: int) -> RoundRecord:
-    sifted = bool(log.sifted[i])
-    check = bool(log.check[i])
-    return RoundRecord(
-        index=int(log.index[i]),
-        alice_basis=log.labels[log.alice_basis[i]],
-        alice_state=int(log.alice_state[i]),
-        bob_basis=log.labels[log.bob_basis[i]],
-        bob_outcome=int(log.bob_outcome[i]),
-        sifted=sifted,
-        check=check,
-        alice_symbol=int(log.alice_symbol[i]) if sifted else None,
-        error=(int(log.bob_outcome[i]) != int(log.alice_symbol[i]))
-        if (sifted and check) else None,
-        cross_basis=bool(log.cross_basis[i]) if sifted else None,
-    )
 
 
 def run_rounds(config: SessionConfig, ks: KSSet | None = None) -> RoundLog:
@@ -152,23 +111,8 @@ def run_rounds(config: SessionConfig, ks: KSSet | None = None) -> RoundLog:
     return RoundLog(
         index=np.arange(n, dtype=np.int64),
         check=columns["sifted"] & (uc < config.check_fraction),
-        labels=tables.labels,
         **columns,
     )
-
-
-def run_round(index: int, config: SessionConfig, ks: KSSet | None = None) -> RoundRecord:
-    """A single round, identical to round `index` of the full session."""
-    cfg = SessionConfig(
-        rounds=index + 1, seed=config.seed, check_fraction=config.check_fraction,
-        noise=config.noise, adversary=config.adversary,
-    )
-    return record(run_rounds(cfg, ks), index)
-
-
-def sift(log: RoundLog) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of sifted and discarded rounds."""
-    return np.flatnonzero(log.sifted), np.flatnonzero(~log.sifted)
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -273,7 +217,6 @@ def _digits(symbols: np.ndarray) -> str:
 def extract_key(log: RoundLog) -> tuple[str, str, float | None]:
     """Keys from sifted non-check rounds, in round order."""
     keep = np.flatnonzero(log.sifted & ~log.check)
-    keep = keep[np.argsort(log.index[keep], kind="stable")]
     key_a = _digits(log.alice_symbol[keep])
     key_b = _digits(log.bob_outcome[keep])
     agreement = None
@@ -322,7 +265,7 @@ class SessionReport:
 
 
 def report_from_log(config: SessionConfig, log: RoundLog) -> SessionReport:
-    """Aggregate a round log; invariant under permutation of the log rows."""
+    """Aggregate a round log into the session report."""
     n = len(log)
     n_sifted = int(log.sifted.sum())
     n_same = int((log.sifted & ~log.cross_basis).sum())

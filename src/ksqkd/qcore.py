@@ -3,81 +3,18 @@
 Every ray the package handles has integer amplitudes, so each
 orthogonality and probability statement is decided with exact integer
 and ``fractions.Fraction`` arithmetic, by equality instead of a
-tolerance.  The one floating-point routine, :func:`render_hybrid_ket`,
-only formats amplitudes in the paper's hybrid polarization/OAM ket
-notation.
+tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-import numpy as np
-
-# Ket rendering tolerances: a norm below ATOL_ZERO is a zero vector, and a
-# coefficient within ATOL_COEFF of zero, one or the real axis is read as such.
-ATOL_ZERO = 1e-12
-ATOL_COEFF = 1e-9
-
-# Hybrid ket labels for logical basis indices 1..4 (polarization x OAM).
-KET_LABELS = ("|H,+1⟩", "|H,−1⟩", "|V,+1⟩", "|V,−1⟩")
-
-MINUS = "−"
 
 
 class ZeroVectorError(ValueError):
-    """Raised when an overlap, canonical form or ket meets a zero vector."""
+    """Raised when an overlap or a canonical form meets a zero vector."""
 
-
-def _format_coeff(c: complex) -> tuple[str, str]:
-    """Split a coefficient into (sign, magnitude text) for ket rendering."""
-    if abs(c.imag) > ATOL_COEFF:
-        # general complex coefficient: render in parentheses, sign absorbed
-        return "+", f"({c.real:.4g}{c.imag:+.4g}i)"
-    x = c.real
-    sign = "-" if x < 0 else "+"
-    mag = abs(x)
-    if abs(mag - 1.0) <= ATOL_COEFF:
-        return sign, ""
-    if abs(mag - round(mag, 4)) < 1e-12:
-        text = f"{mag:.4f}".rstrip("0").rstrip(".")
-    else:
-        text = f"{mag:.4f}"
-    return sign, text
-
-
-def render_hybrid_ket(state) -> str:
-    """Render amplitudes in the hybrid polarization/OAM ket basis.
-
-    The amplitudes are scaled to unit norm but their phase is kept, so a
-    leading negative amplitude renders as written in the source table.
-    Terms appear in logical order, zero amplitudes are omitted, unit
-    coefficients are suppressed, and the minus sign is typeset as the
-    Unicode minus to match the ket arrows.
-    """
-    amps = np.asarray(state, dtype=np.complex128)
-    norm = float(np.sqrt(np.real(np.vdot(amps, amps))))
-    if norm < ATOL_ZERO:
-        raise ZeroVectorError("cannot render zero vector")
-    amps = amps / norm
-    parts = []
-    for amp, label in zip(amps, KET_LABELS):
-        if abs(amp) <= ATOL_COEFF:
-            continue
-        sign, mag = _format_coeff(complex(amp))
-        parts.append((sign, mag + label))
-    out = []
-    for i, (sign, term) in enumerate(parts):
-        if i == 0:
-            out.append((MINUS if sign == "-" else "") + term)
-        else:
-            out.append((" " + (MINUS if sign == "-" else "+") + " ") + term)
-    return "".join(out)
-
-
-# ---------------------------------------------------------------------------
-# Exact arithmetic on integer-amplitude vectors
-# ---------------------------------------------------------------------------
 
 def exact_inner(u, v) -> int:
     """Real dot product of two integer amplitude tuples."""
@@ -121,12 +58,10 @@ def exact_entanglement_det(amps) -> int:
 def canonical_int_amps(amps) -> tuple[int, ...]:
     """Canonical representative of an integer vector up to scaling and sign."""
     a = [int(x) for x in amps]
-    g = 0
-    for x in a:
-        g = np.gcd(g, abs(x))
+    g = math.gcd(*a)
     if g == 0:
         raise ZeroVectorError("zero integer vector")
-    a = [x // int(g) for x in a]
+    a = [x // g for x in a]
     lead = next(x for x in a if x != 0)
     if lead < 0:
         a = [-x for x in a]

@@ -3,15 +3,19 @@
 These deliberately take different routes than the implementation under
 test: bit-level enumeration for colorings, a vectorized product scan for
 the symbol-mismatch minimum and its lexicographically smallest witness, a
-graph-coloring formulation for the minimum, and, for
+graph-coloring formulation for the minimum, closed forms for the ball
+attack's and the depolarizing channel's error rates, and, for
 the vectorized round kernel, a per-round Python loop that searches Born
 numerators it derives itself from the set's integer amplitudes, with no
 use of the kernel's tables.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
+
+from steering import basis_index
 
 _PERMS = np.array(list(itertools.permutations((1, 2, 3, 4))), dtype=np.int8)
 
@@ -35,7 +39,7 @@ def _shared_pairs(ks):
         inc = ks.incidence[v.id]
         if len(inc) == 2:
             (l1, p1), (l2, p2) = inc
-            out.append((ks.basis_index(l1), p1, ks.basis_index(l2), p2, v.id))
+            out.append((basis_index(ks, l1), p1, basis_index(ks, l2), p2, v.id))
     return out
 
 
@@ -57,10 +61,10 @@ def _product_scan(ks):
     total = np.zeros(len(idx), dtype=np.int16)
     for v in ks.vectors:
         (lab0, p0), *rest = ks.incidence[v.id]
-        first = _PERMS[perm_idx[ks.basis_index(lab0)], p0]
+        first = _PERMS[perm_idx[basis_index(ks, lab0)], p0]
         defective = np.zeros(len(idx), dtype=bool)
         for lab, p in rest:
-            defective |= _PERMS[perm_idx[ks.basis_index(lab)], p] != first
+            defective |= _PERMS[perm_idx[basis_index(ks, lab)], p] != first
         total += defective
     return perm_idx, total
 
@@ -161,6 +165,34 @@ def subset_ks(ksmod, base_set, labels):
         if b.label in labels
     ]
     return ksmod.build_set(chosen)
+
+
+def expected_ball_attack_stats(ks, assignment):
+    """Analytic (w_same, w_cross, w_overall) under uniform basis/state draws.
+
+    Same-basis rounds are always consistent.  Conditioned on a sifted
+    cross-basis round every vector is equally likely, so the error rate
+    is the fraction of vectors whose home-basis symbols differ; overall
+    the two sifted classes carry equal weight.
+    """
+    defects = sum(
+        len({assignment.symbols[lab][pos] for lab, pos in ks.incidence[v.id]}) > 1
+        for v in ks.vectors
+    )
+    w_cross = Fraction(defects, len(ks.vectors))
+    return Fraction(0), w_cross, w_cross / 2
+
+
+def analytic_w(spec):
+    """Exact (w, F) of a noise spec.
+
+    A depolarized round still lands on the correct detector with
+    probability 1/4, so w = p - p/4 = 3p/4.
+    """
+    if spec.kind == "none":
+        return 0.0, 1.0
+    w = 0.75 * spec.p
+    return w, 1.0 - w
 
 
 def born_numerators(ks, vector_id, basis_index):
@@ -279,6 +311,5 @@ def reference_run_rounds(config, ks=None):
     return protocol.RoundLog(
         index=np.arange(n, dtype=np.int64),
         check=cols["sifted"] & (uc < config.check_fraction),
-        labels=tuple(b.label for b in ks.bases),
         **cols,
     )

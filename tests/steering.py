@@ -11,10 +11,15 @@ def centre(index, count):
     return (np.asarray(index, dtype=float) + 0.5) / count
 
 
+def basis_index(ks, label):
+    """The index of the basis labelled `label` in `ks.bases`."""
+    return [b.label for b in ks.bases].index(label)
+
+
 def sending(ks, vector_id):
     """Alice's two draws that send `vector_id` from its first home basis."""
     label, pos = ks.incidence[vector_id][0]
-    return centre(ks.basis_index(label), len(ks.bases)), centre(pos, 4)
+    return centre(basis_index(ks, label), len(ks.bases)), centre(pos, 4)
 
 
 def steer(ks, ua0, ua1, ub0, ub1, un0=0.5, un1=0.5, ue0=0.5, ue1=0.5,

@@ -5,16 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ksqkd import ksset
-from ksqkd.adversary import (
-    AdversarySpec,
-    exact_intercept_resend_w,
-    expected_ball_attack_stats,
-)
+from ksqkd import ksset, qcore
+from ksqkd.adversary import AdversarySpec, exact_intercept_resend_w
 from ksqkd.ksset import SymbolAssignment, build_set
 from ksqkd.protocol import SessionConfig, estimate_error_stats, run_rounds
 
-from steering import centre, steer
+from oracles import expected_ball_attack_stats
+from steering import basis_index, centre, steer
 
 
 def make_assignment_with_defects(ks, witness, extra: int) -> SymbolAssignment:
@@ -39,8 +36,8 @@ def ball_round(ks, witness, alice, bob, readout_u=0.5):
     """Kernel columns of ball rounds: Alice's (label, pos) and Bob's label."""
     (alice_label, pos), bob_label = alice, bob
     return steer(
-        ks, centre(ks.basis_index(alice_label), 9), centre(pos, 4),
-        centre(ks.basis_index(bob_label), 9), 0.5, ue0=readout_u,
+        ks, centre(basis_index(ks, alice_label), 9), centre(pos, 4),
+        centre(basis_index(ks, bob_label), 9), 0.5, ue0=readout_u,
         adversary="ball", assignment=witness,
     )
 
@@ -54,8 +51,8 @@ class TestBallAttackOutcome:
             for pos in range(4):
                 cols = ball_round(ks18, witness, (b.label, pos), b.label, 0.9)
                 assert cols["sifted"][0] and not cols["cross_basis"][0]
-                assert cols["bob_outcome"][0] == witness.symbol(b.label, pos)
-                assert cols["alice_symbol"][0] == witness.symbol(b.label, pos)
+                assert cols["bob_outcome"][0] == witness.symbols[b.label][pos]
+                assert cols["alice_symbol"][0] == witness.symbols[b.label][pos]
 
     def test_defective_ball_cross_basis_differs(self, ks18, optimal_witness):
         witness = optimal_witness.witness
@@ -112,9 +109,7 @@ class TestExpectedBallStats:
             for alice_lab, alice_pos in ks18.incidence[v.id]:
                 for bob_lab, bob_pos in ks18.incidence[v.id]:
                     sifted += 1
-                    if witness.symbol(bob_lab, bob_pos) != witness.symbol(
-                        alice_lab, alice_pos
-                    ):
+                    if witness.symbols[bob_lab][bob_pos] != witness.symbols[alice_lab][alice_pos]:
                         errors += 1
         assert Fraction(errors, sifted) == Fraction(1, 18)
 
@@ -145,14 +140,14 @@ class TestInterceptResendTransform:
     def test_split_on_wrong_basis(self, ks18):
         # (1,0,0,0) in basis VIII lands on (1,0,1,0) or (1,0,-1,0), half
         # each; Bob measuring in VIII then reads which one Eve forwarded.
-        alice = (ks18.basis_index("I"), 0)
+        alice = (basis_index(ks18, "I"), 0)
         assert ks18.vectors[ks18.basis("I").members[0]].raw_amps == (1, 0, 0, 0)
-        viii = ks18.basis_index("VIII")
+        viii = basis_index(ks18, "VIII")
         n = 4000
         rng = np.random.default_rng(4)
         cols = intercept_rounds(ks18, alice, viii, viii, rng.random(n), rng.random(n))
         outcome = cols["bob_outcome"]
-        targets = [ks18.position(vid, "VIII") + 1 for vid in ks18.basis("VIII").members
+        targets = [pos + 1 for pos, vid in enumerate(ks18.basis("VIII").members)
                    if ks18.vectors[vid].raw_amps in ((1, 0, 1, 0), (1, 0, -1, 0))]
         assert sorted(set(outcome.tolist())) == sorted(targets)
         assert abs((outcome == targets[0]).mean() - 0.5) <= 3 * math.sqrt(0.25 / n)
@@ -177,7 +172,18 @@ class TestExactInterceptResend:
         assert 0 < w_same < 1 and 0 < w_cross < 1
 
     def test_diagnostic_mode_nondisturbing(self, ks18):
-        assert exact_intercept_resend_w(ks18, eve_matches_alice=True) == (0, 0, 0)
+        # Eve measuring in Alice's own basis reads Alice's state with
+        # certainty and forwards it, so Bob's exact error is zero in
+        # both of the state's home bases.
+        raw = [v.raw_amps for v in ks18.vectors]
+        for b in ks18.bases:
+            amps = [raw[i] for i in b.members]
+            for pos, vid in enumerate(b.members):
+                probs = qcore.exact_born(raw[vid], amps)
+                assert probs == tuple(Fraction(int(k == pos)) for k in range(4))
+                for bob_label, bob_pos in ks18.incidence[vid]:
+                    bob = [raw[i] for i in ks18.basis(bob_label).members]
+                    assert qcore.exact_born(amps[pos], bob)[bob_pos] == 1
 
     def test_monte_carlo_matches(self, ks18):
         w_same, w_cross, w_overall = exact_intercept_resend_w(ks18)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ksqkd import ksset
-from ksqkd.channels import NoiseSpec, analytic_w
+from ksqkd.channels import NoiseSpec
 from ksqkd.protocol import SessionConfig, run_rounds
 
+from oracles import analytic_w
 from steering import centre, sending, steer
 
 

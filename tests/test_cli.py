@@ -73,10 +73,11 @@ class TestLoadConfig:
         a.write_text("\n".join(f"basis {b.label}: 1 2 3 4" for b in ks.bases))
         p.write_text(f"[adversary]\nkind = ball\nball_assignment = {a}\n")
         cfg = load_config(str(p))
-        assert cfg.adversary.ball_assignment.symbol("IX", 3) == 4
+        assert cfg.adversary.ball_assignment.symbols["IX"][3] == 4
 
-    @pytest.mark.parametrize("target", ["missing.txt", "."])
+    @pytest.mark.parametrize("target", ["missing.txt", ".", "binary.txt"])
     def test_unreadable_assignment_file(self, tmp_path, target):
+        (tmp_path / "binary.txt").write_bytes(b"basis I: \xff\xfe\n")
         p = tmp_path / "c.ini"
         p.write_text(f"[adversary]\nkind = ball\nball_assignment = {tmp_path / target}\n")
         with pytest.raises(ConfigError, match="ball_assignment"):
@@ -88,8 +89,8 @@ class TestVerify:
         code, out = run("verify")
         assert code == 0 and "OK" in out
 
-    def test_broken_set_exits_1(self, run, tmp_path, ks18):
-        text = ksset.format_set_file(ks18).replace(
+    def test_broken_set_exits_1(self, run, tmp_path, ks18_text):
+        text = ks18_text.replace(
             "vector 3: 0 0 1 -1", "vector 3: 0 0 1 1"
         )
         p = tmp_path / "bad.ks"
@@ -106,9 +107,9 @@ class TestVerify:
 
 class TestBadSetFile:
     @pytest.mark.parametrize("command", ["verify", "color", "mismatch"])
-    def test_zero_vector_exits_2(self, capsys, tmp_path, ks18, command):
+    def test_zero_vector_exits_2(self, capsys, tmp_path, ks18_text, command):
         # Exit 1 from verify would read as a failed structural check.
-        text = ksset.format_set_file(ks18).replace(
+        text = ks18_text.replace(
             "vector 0: 1 0 0 0", "vector 0: 0 0 0 0"
         )
         p = tmp_path / "zero.ks"
@@ -117,6 +118,31 @@ class TestBadSetFile:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "vector 0: 0 0 0 0" in err
+
+    @pytest.mark.parametrize("command", ["verify", "color", "mismatch"])
+    @pytest.mark.parametrize("old,new,record", [
+        # Basis II relabelled I: two bases would share one label.
+        ("basis II:", "basis I:", "basis I defined twice"),
+        # A second vector 1 would silently replace the first.
+        ("vector 1: 0 1 0 0\n", "vector 1: 0 1 0 0\nvector 1: 1 1 1 1\n",
+         "vector 1 defined twice"),
+    ], ids=["basis-label", "vector-id"])
+    def test_duplicate_record_exits_2(self, capsys, tmp_path, ks18_text,
+                                      command, old, new, record):
+        p = tmp_path / "dup.ks"
+        p.write_text(ks18_text.replace(old, new))
+        assert main([command, "--set", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line ") and record in err
+
+    @pytest.mark.parametrize("command", ["verify", "color", "mismatch"])
+    def test_non_utf8_exits_2(self, capsys, tmp_path, command):
+        p = tmp_path / "binary.ks"
+        p.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe")
+        assert main([command, "--set", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and str(p) in err
 
 
 class TestAnalyze:
@@ -185,6 +211,14 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
+    def test_non_utf8_config_certify_exit_2(self, capsys, tmp_path):
+        # Exit 1 would read as INSECURE under --certify.
+        p = tmp_path / "binary.ini"
+        p.write_bytes(b"[session]\nrounds = \xff\xfe\n")
+        assert main(["simulate", "--config", str(p), "--certify"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and str(p) in err
+
     def test_out_file_and_byte_determinism(self, run, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -249,6 +283,21 @@ class TestSweep:
         code, _ = run("sweep", "--param", "noise.q", "--start", "0",
                       "--stop", "1", "--points", "2")
         assert code == 2
+
+
+class TestUnwritableOut:
+    """A report that cannot be written is bad input, never a verdict."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--certify", "--seed", "1"],
+        ["analyze"],
+        ["sweep", "--start", "0", "--stop", "0.1", "--points", "2", "--rounds", "100"],
+    ], ids=["simulate", "analyze", "sweep"])
+    def test_exits_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        assert main([*argv, "--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot write {target}")
 
 
 class TestIntercept:

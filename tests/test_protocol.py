@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -15,12 +16,9 @@ from ksqkd.protocol import (
     certify,
     estimate_error_stats,
     extract_key,
-    record,
     report_from_log,
-    run_round,
     run_rounds,
     run_session,
-    sift,
     substream,
     wilson_interval,
 )
@@ -49,7 +47,7 @@ class TestRunRound:
         same = log.sifted & ~log.cross_basis
         assert same.any()
         pos = np.array([
-            ks18.position(int(v), log.labels[b])
+            ks18.bases[b].members.index(v)
             for v, b in zip(log.alice_state[same], log.alice_basis[same])
         ], dtype=int)
         assert np.array_equal(log.bob_outcome[same], pos + 1)
@@ -68,36 +66,28 @@ class TestRunRound:
             assert bool(log.sifted[i]) == (log.alice_state[i] in members)
 
     def test_single_round_view(self):
+        # Round i of a session is the last round of the session cut to
+        # i + 1 rounds: no round's draws depend on the round count.
         config = SessionConfig(rounds=200, seed=14)
         log = run_rounds(config)
         for i in (0, 57, 199):
-            assert run_round(i, config) == record(log, i)
-
-    def test_record_fields(self):
-        config = SessionConfig(rounds=50, seed=1)
-        log = run_rounds(config)
-        r = record(log, 0)
-        assert r.alice_basis in {b for b in log.labels}
-        if not r.sifted:
-            assert r.alice_symbol is None and r.cross_basis is None
-            assert r.error is None
+            short = run_rounds(dataclasses.replace(config, rounds=i + 1))
+            for f in dataclasses.fields(log):
+                assert getattr(short, f.name)[i] == getattr(log, f.name)[i], f.name
 
 
 class TestSift:
     def test_rates(self):
         n = 1_000_000
         log = run_rounds(SessionConfig(rounds=n, seed=31))
-        kept, dropped = sift(log)
-        assert len(kept) + len(dropped) == n
-        sift_rate = len(kept) / n
+        sift_rate = log.sifted.sum() / n
         assert abs(sift_rate - 2 / 9) <= 3 * math.sqrt((2 / 9) * (7 / 9) / n)
         same_rate = (log.sifted & ~log.cross_basis).sum() / n
         assert abs(same_rate - 1 / 9) <= 3 * math.sqrt((1 / 9) * (8 / 9) / n)
 
     def test_empty(self):
         log = run_rounds(SessionConfig(rounds=1, seed=0))
-        kept, dropped = sift(log)
-        assert len(kept) + len(dropped) == 1
+        assert len(log) == 1 and log.sifted.shape == (1,)
 
 
 class TestEstimateErrorStats:
@@ -231,12 +221,19 @@ class TestRunSession:
         }
 
     def test_aggregation_order_independent(self):
+        # Every count and rate of the report is invariant under a
+        # permutation of the log rows; the keys follow the row order.
         cfg = SessionConfig(rounds=20_000, seed=8, noise=NoiseSpec("depolarizing", 0.2))
         log = run_rounds(cfg)
         perm = np.random.default_rng(0).permutation(len(log))
-        a = report_from_log(cfg, log)
-        b = report_from_log(cfg, log.permuted(perm))
-        assert a.to_json() == b.to_json()
+        shuffled = type(log)(**{
+            f.name: getattr(log, f.name)[perm] for f in dataclasses.fields(log)
+        })
+        a = report_from_log(cfg, log).to_dict()
+        b = report_from_log(cfg, shuffled).to_dict()
+        assert sorted(a.pop("key_alice")) == sorted(b.pop("key_alice"))
+        assert sorted(a.pop("key_bob")) == sorted(b.pop("key_bob"))
+        assert a == b
 
     def test_substream_isolation_across_adversaries(self, optimal_witness):
         base = SessionConfig(rounds=10_000, seed=55)

@@ -12,10 +12,9 @@ from ksqkd.qcore import (
     canonical_int_amps,
     exact_inner,
     exact_overlap_sq,
-    render_hybrid_ket,
 )
 
-from steering import centre, sending, steer
+from steering import basis_index, centre, sending, steer
 
 F = Fraction
 
@@ -25,9 +24,9 @@ SMALL_VECTORS = [
 ]
 
 
-def slot_counts(tables, vector_id, basis_index):
+def slot_counts(tables, vector_id, bi):
     """How many of the sixteen outcome-table slots read each outcome."""
-    return tuple(np.bincount(tables.outcome_table[vector_id, basis_index],
+    return tuple(np.bincount(tables.outcome_table[vector_id, bi],
                              minlength=5)[1:].tolist())
 
 
@@ -110,7 +109,7 @@ class TestBornProbabilities:
         probs = ksset.exact_basis_probs(ks, vector_id, label)
         assert probs == expect
         tables = kernel.build_tables(ks)
-        counts = slot_counts(tables, vector_id, ks.basis_index(label))
+        counts = slot_counts(tables, vector_id, basis_index(ks, label))
         assert counts == tuple(int(16 * p) for p in expect)
 
     def test_eigenstate(self, ks18):
@@ -216,22 +215,6 @@ class TestEntanglement:
         assert qcore.exact_entanglement_det([1, 1, -1, -1]) == 0
 
 
-class TestRenderKet:
-    def test_single_term(self):
-        assert render_hybrid_ket([0, 1, 0, 0]) == "|H,−1⟩"
-
-    def test_equal_pair(self):
-        s = render_hybrid_ket([0, 0, 1, 1])
-        assert s == "0.7071|V,+1⟩ + 0.7071|V,−1⟩"
-
-    def test_table_row_with_leading_minus(self):
-        s = render_hybrid_ket([-1, 1, 1, 1])
-        assert s == (
-            "−0.5|H,+1⟩ + 0.5|H,−1⟩"
-            " + 0.5|V,+1⟩ + 0.5|V,−1⟩"
-        )
-
-
 class TestExactHelpers:
     def test_exact_born_sums_to_one(self, ks18):
         basis = [ks18.vectors[i].raw_amps for i in ks18.bases[0].members]
@@ -252,4 +235,4 @@ class TestExactHelpers:
         with pytest.raises(ZeroVectorError):
             exact_overlap_sq((0, 0, 0, 0), (1, 0, 0, 0))
         with pytest.raises(ZeroVectorError):
-            render_hybrid_ket([0, 0, 0, 0])
+            exact_overlap_sq((1, 0, 0, 0), (0, 0, 0, 0))
