@@ -4,7 +4,8 @@ Modules:
     qcore     -- exact integer arithmetic on integer-amplitude ququart states
     ksset     -- the 18-vector KS set, colorability, minimum mismatch
     channels  -- the depolarizing noise spec
-    adversary -- ball and intercept-resend specs, exact intercept-resend rates
+    adversary -- ball and intercept-resend specs, exact intercept-resend
+                 rates, the 1/9 certification threshold
     protocol  -- session runs, error statistics, certification, key extraction
     kernel    -- exact outcome tables and the vectorized NumPy round kernel
     cli       -- verify / color / mismatch / analyze / simulate / sweep /

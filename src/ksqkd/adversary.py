@@ -19,13 +19,18 @@ the exact intercept-resend rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import qcore
-from .ksset import KSSet, SymbolAssignment
+from .ksset import KSSet, SymbolAssignment, born_table
 
 ADVERSARY_KINDS = ("none", "ball", "intercept_resend")
+
+# Certification threshold on w (both overall and cross-basis, strict): a
+# session is secure only while its error rates stay below 1/9.
+W_THRESHOLD_NUM = 1
+W_THRESHOLD_DEN = 9
 
 
 @dataclass(frozen=True)
@@ -45,34 +50,34 @@ def exact_intercept_resend_w(ks: KSSet) -> tuple[Fraction, Fraction, Fraction]:
 
     Sums exact Born weights over Alice's 36 (basis, state) incidences,
     Eve's 9 bases and 4 outcomes, and Bob's sifting bases (the state's
-    home bases).
+    home bases).  Every weight is read from one Born table, held as
+    integer numerators over the table's common denominator, so the sums
+    are integer sums and each rate is one Fraction.
     """
-    raw = {v.id: v.raw_amps for v in ks.vectors}
-    basis_amps = {
-        b.label: [raw[i] for i in b.members] for b in ks.bases
-    }
-    weight = {"same": Fraction(0), "cross": Fraction(0)}
-    errors = {"same": Fraction(0), "cross": Fraction(0)}
-    n_inc = sum(len(ks.incidence[v.id]) for v in ks.vectors)
-    w_eve = Fraction(1, n_inc * len(ks.bases))
+    table = born_table(ks)
+    den = math.lcm(*(p.denominator for row in table for probs in row for p in probs))
+    num = [[[int(p * den) for p in probs] for probs in row] for row in table]
+    index = {b.label: bi for bi, b in enumerate(ks.bases)}
+    members = [b.members for b in ks.bases]
+    # Eve's uniform basis choice weighs every term alike, and Bob's basis
+    # is uniform over 9 with only the state's two home bases sifting; the
+    # conditional rates divide both factors out, so they are omitted.
+    weight = {"same": 0, "cross": 0}
+    errors = {"same": 0, "cross": 0}
     for v in ks.vectors:
         for alice_label, _ in ks.incidence[v.id]:
-            for eve_label in basis_amps:
-                eve_probs = qcore.exact_born(raw[v.id], basis_amps[eve_label])
+            for eb, eve_probs in enumerate(num[v.id]):
                 for k, pk in enumerate(eve_probs):
                     if pk == 0:
                         continue
-                    fwd = basis_amps[eve_label][k]
-                    # Bob's basis is uniform over 9; only the state's two
-                    # home bases sift.  Conditional rates divide out the
-                    # uniform 1/9 factor, so it is omitted.
+                    fwd = num[members[eb][k]]
                     for bob_label, pos in ks.incidence[v.id]:
                         cls = "same" if bob_label == alice_label else "cross"
-                        bob_probs = qcore.exact_born(fwd, basis_amps[bob_label])
-                        p_ok = bob_probs[pos]
-                        weight[cls] += w_eve * pk
-                        errors[cls] += w_eve * pk * (1 - p_ok)
-    w_same = errors["same"] / weight["same"]
-    w_cross = errors["cross"] / weight["cross"]
-    w_overall = (errors["same"] + errors["cross"]) / (weight["same"] + weight["cross"])
+                        weight[cls] += pk * den
+                        errors[cls] += pk * (den - fwd[index[bob_label]][pos])
+    w_same = Fraction(errors["same"], weight["same"])
+    w_cross = Fraction(errors["cross"], weight["cross"])
+    w_overall = Fraction(
+        errors["same"] + errors["cross"], weight["same"] + weight["cross"]
+    )
     return w_same, w_cross, w_overall

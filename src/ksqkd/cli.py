@@ -15,12 +15,17 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import adversary, ksset, protocol
+from . import adversary, ksset
 from .adversary import AdversarySpec
 from .channels import NoiseSpec
 from .ksset import SetFormatError
-from .protocol import SessionConfig
+
+# `protocol` imports NumPy, which only the commands that run rounds
+# (simulate, sweep) need; the exact commands never load it.
+if TYPE_CHECKING:
+    from .protocol import SessionConfig
 
 DEFAULTS = {"rounds": 100_000, "seed": 0, "check_fraction": 0.5}
 
@@ -37,6 +42,8 @@ class ConfigError(ValueError):
 
 def load_config(path: str | None, seed_override: int | None = None) -> SessionConfig:
     """Parse the INI-style session config; unknown keys are rejected."""
+    from .protocol import SessionConfig
+
     raw = {"session": {}, "noise": {}, "adversary": {}}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -180,6 +187,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import protocol
+
     try:
         config = load_config(args.config, seed_override=args.seed)
     except ConfigError as exc:
@@ -206,21 +215,25 @@ def _csv_cell(value) -> str:
 
 
 def cmd_sweep(args) -> int:
+    from . import kernel, protocol
+
     if args.param != "noise.p":
         print(f"error: unsupported sweep parameter {args.param!r}", file=sys.stderr)
         return 2
-    ok_range = (
-        0.0 <= args.start <= args.stop <= 1.0 and args.points >= 2 and args.rounds >= 1
-    )
-    if not ok_range:
-        print("error: need 0 <= start <= stop <= 1 and points >= 2", file=sys.stderr)
-        return 2
+    for ok, condition in (
+        (0.0 <= args.start <= args.stop <= 1.0, "0 <= start <= stop <= 1"),
+        (args.points >= 2, "points >= 2"),
+        (args.rounds >= 1, "rounds >= 1"),
+    ):
+        if not ok:
+            print(f"error: need {condition}", file=sys.stderr)
+            return 2
     # Every point's config is checked before the first session runs.
     configs = []
     for i in range(args.points):
         p = args.start + (args.stop - args.start) * i / (args.points - 1)
         try:
-            configs.append(SessionConfig(
+            configs.append(protocol.SessionConfig(
                 rounds=args.rounds,
                 seed=args.seed + i,  # deterministic per (seed, point index)
                 check_fraction=args.check_fraction,
@@ -229,10 +242,12 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             print(f"error: sweep point {i}: {exc}", file=sys.stderr)
             return 2
+    # Every point runs on the same set, so its tables are built once.
+    tables = kernel.build_tables(ksset.builtin_ks18())
     rows = ["p,w_overall,w_same,w_cross,sift_rate,rounds_sifted,certified"]
     for config in configs:
         p = config.noise.p
-        r = protocol.run_session(config)
+        r = protocol.run_session(config, tables)
         certified = {True: "true", False: "false", None: "indeterminate"}[r.certified]
         rows.append(",".join([
             repr(p), _csv_cell(r.w_overall), _csv_cell(r.w_same),
@@ -246,7 +261,7 @@ def cmd_intercept(args) -> int:
     ks = ksset.builtin_ks18()
     w_same, w_cross, w_overall = adversary.exact_intercept_resend_w(ks)
     # Exact threshold: the float 1/9 lies just below the rational 1/9.
-    threshold = Fraction(protocol.W_THRESHOLD_NUM, protocol.W_THRESHOLD_DEN)
+    threshold = Fraction(adversary.W_THRESHOLD_NUM, adversary.W_THRESHOLD_DEN)
     doc = {
         "w_same": [w_same.numerator, w_same.denominator],
         "w_cross": [w_cross.numerator, w_cross.denominator],

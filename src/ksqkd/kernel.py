@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import NoiseSpec
-from .ksset import KSSet, SymbolAssignment, exact_basis_probs
+from .ksset import KSSet, SymbolAssignment, born_table
 
 # Common denominator of every Born probability among KS18 rays/bases.
 PROB_DENOM = 16
@@ -25,8 +25,9 @@ PROB_DENOM = 16
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Integer lookup tables driving the round kernel."""
+    """Integer lookup tables driving the round kernel, with their set."""
 
+    ks: KSSet               # the set the tables were built from
     pos_table: np.ndarray   # int32[nv, nb], -1 when vector not in basis
     outcome_table: np.ndarray  # int8[nv, nb, 16], 1-based outcome per floor(16u)
     members: np.ndarray     # int32[nb, 4]
@@ -46,9 +47,10 @@ def build_tables(ks: KSSet) -> KernelTables:
         members[bi] = b.members
         for p, vid in enumerate(b.members):
             pos[vid, bi] = p
+    table = born_table(ks)
     for v in ks.vectors:
         for bi, b in enumerate(ks.bases):
-            probs = exact_basis_probs(ks, v.id, b.label)
+            probs = table[v.id][bi]
             acc = Fraction(0)
             for k, pk in enumerate(probs):
                 acc += pk
@@ -63,7 +65,7 @@ def build_tables(ks: KSSet) -> KernelTables:
     # numerators at or below s (the loop `while 16u >= cum[k]: k += 1`).
     s = np.arange(PROB_DENOM)[:, None]
     outcome = 1 + (cum[:, :, None, :] <= s).sum(axis=-1)
-    return KernelTables(pos, outcome.astype(np.int8), members)
+    return KernelTables(ks, pos, outcome.astype(np.int8), members)
 
 
 def assignment_table(ks: KSSet, assignment: SymbolAssignment | None) -> np.ndarray:

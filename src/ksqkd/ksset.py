@@ -403,6 +403,19 @@ def exact_basis_probs(ks: KSSet, vector_id: int, basis_label: str):
     return qcore.exact_born(state, [ks.vectors[i].raw_amps for i in b.members])
 
 
+def born_table(ks: KSSet) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """Exact Born probabilities of every set vector in every set basis.
+
+    ``born_table(ks)[v][bi]`` is :func:`exact_basis_probs` of vector id
+    ``v`` in ``ks.bases[bi]``: one tuple per (vector, basis) pair, 162
+    for the builtin set.
+    """
+    return tuple(
+        tuple(exact_basis_probs(ks, v.id, b.label) for b in ks.bases)
+        for v in ks.vectors
+    )
+
+
 @dataclass
 class ProfileEntry:
     vector_id: int
@@ -432,12 +445,12 @@ def wrong_basis_profiles(ks: KSSet) -> ProfileReport:
     """
     entries = []
     violations = []
+    table = born_table(ks)
     for v in ks.vectors:
         homes = {lab for lab, _ in ks.incidence[v.id]}
-        for b in ks.bases:
+        for b, probs in zip(ks.bases, table[v.id]):
             if b.label in homes:
                 continue
-            probs = exact_basis_probs(ks, v.id, b.label)
             e = ProfileEntry(v.id, b.label, probs)
             entries.append(e)
             if e.sorted_profile not in ALLOWED_WRONG_PROFILES:
@@ -505,7 +518,11 @@ def parse_set_file(text: str) -> KSSet:
 
 
 def parse_assignment_file(text: str, ks: KSSet) -> SymbolAssignment:
-    """Parse ``basis <label>: s1 s2 s3 s4`` lines into a SymbolAssignment."""
+    """Parse ``basis <label>: s1 s2 s3 s4`` lines into a SymbolAssignment.
+
+    Blank lines and ``#`` comments are ignored; a basis label given twice
+    is an error.
+    """
     symbols: dict[str, tuple[int, int, int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -519,6 +536,8 @@ def parse_assignment_file(text: str, ks: KSSet) -> SymbolAssignment:
             syms = tuple(int(x) for x in rest.split())
             if len(syms) != 4:
                 raise ValueError("expected 4 symbols")
+            if label in symbols:
+                raise ValueError(f"basis {label} defined twice")
             symbols[label] = syms
         except (ValueError, IndexError) as exc:
             raise SetFormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc

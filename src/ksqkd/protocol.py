@@ -23,13 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel, ksset
-from .adversary import AdversarySpec
+from .adversary import W_THRESHOLD_DEN, W_THRESHOLD_NUM, AdversarySpec
 from .channels import NoiseSpec
-from .ksset import KSSet
-
-# Certification threshold on w (both overall and cross-basis, strict).
-W_THRESHOLD_NUM = 1
-W_THRESHOLD_DEN = 9
+from .kernel import KernelTables
 
 SECURE, INSECURE, INDETERMINATE = "SECURE", "INSECURE", "INDETERMINATE"
 
@@ -94,11 +90,15 @@ class RoundLog:
         return len(self.index)
 
 
-def run_rounds(config: SessionConfig, ks: KSSet | None = None) -> RoundLog:
-    """Simulate all rounds of a session through the round kernel."""
-    ks = ks or ksset.builtin_ks18()
-    tables = kernel.build_tables(ks)
-    assign = kernel.assignment_table(ks, config.adversary.ball_assignment)
+def run_rounds(config: SessionConfig, tables: KernelTables | None = None) -> RoundLog:
+    """Simulate all rounds of a session through the round kernel.
+
+    ``tables`` are the kernel tables of the set to run on; without them
+    the builtin set and its tables are built here, once per call.
+    """
+    if tables is None:
+        tables = kernel.build_tables(ksset.builtin_ks18())
+    assign = kernel.assignment_table(tables.ks, config.adversary.ball_assignment)
     n = config.rounds
     ua = substream(config.seed, "alice").random((n, 2))
     ub = substream(config.seed, "bob").random((n, 2))
@@ -289,6 +289,8 @@ def report_from_log(config: SessionConfig, log: RoundLog) -> SessionReport:
     )
 
 
-def run_session(config: SessionConfig, ks: KSSet | None = None) -> SessionReport:
+def run_session(
+    config: SessionConfig, tables: KernelTables | None = None
+) -> SessionReport:
     """Run a full session; deterministic given (config, seed)."""
-    return report_from_log(config, run_rounds(config, ks))
+    return report_from_log(config, run_rounds(config, tables))

@@ -4,7 +4,9 @@ These deliberately take different routes than the implementation under
 test: bit-level enumeration for colorings, a vectorized product scan for
 the symbol-mismatch minimum and its lexicographically smallest witness, a
 graph-coloring formulation for the minimum, closed forms for the ball
-attack's and the depolarizing channel's error rates, and, for
+attack's and the depolarizing channel's error rates, a nested Fraction
+enumeration of the intercept-resend rates that calls ``qcore.exact_born``
+itself instead of reading ``ksset.born_table``, and, for
 the vectorized round kernel, a per-round Python loop that searches Born
 numerators it derives itself from the set's integer amplitudes, with no
 use of the kernel's tables.
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ksqkd import qcore
 from steering import basis_index
 
 _PERMS = np.array(list(itertools.permutations((1, 2, 3, 4))), dtype=np.int8)
@@ -181,6 +184,44 @@ def expected_ball_attack_stats(ks, assignment):
     )
     w_cross = Fraction(defects, len(ks.vectors))
     return Fraction(0), w_cross, w_cross / 2
+
+
+def intercept_resend_w(ks):
+    """Exact (w_same, w_cross, w_overall) of intercept-resend by enumeration.
+
+    Sums exact Born weights over Alice's 36 (basis, state) incidences,
+    Eve's 9 bases and 4 outcomes, and Bob's sifting bases (the state's
+    home bases).
+    """
+    raw = {v.id: v.raw_amps for v in ks.vectors}
+    basis_amps = {
+        b.label: [raw[i] for i in b.members] for b in ks.bases
+    }
+    weight = {"same": Fraction(0), "cross": Fraction(0)}
+    errors = {"same": Fraction(0), "cross": Fraction(0)}
+    n_inc = sum(len(ks.incidence[v.id]) for v in ks.vectors)
+    w_eve = Fraction(1, n_inc * len(ks.bases))
+    for v in ks.vectors:
+        for alice_label, _ in ks.incidence[v.id]:
+            for eve_label in basis_amps:
+                eve_probs = qcore.exact_born(raw[v.id], basis_amps[eve_label])
+                for k, pk in enumerate(eve_probs):
+                    if pk == 0:
+                        continue
+                    fwd = basis_amps[eve_label][k]
+                    # Bob's basis is uniform over 9; only the state's two
+                    # home bases sift.  Conditional rates divide out the
+                    # uniform 1/9 factor, so it is omitted.
+                    for bob_label, pos in ks.incidence[v.id]:
+                        cls = "same" if bob_label == alice_label else "cross"
+                        bob_probs = qcore.exact_born(fwd, basis_amps[bob_label])
+                        p_ok = bob_probs[pos]
+                        weight[cls] += w_eve * pk
+                        errors[cls] += w_eve * pk * (1 - p_ok)
+    w_same = errors["same"] / weight["same"]
+    w_cross = errors["cross"] / weight["cross"]
+    w_overall = (errors["same"] + errors["cross"]) / (weight["same"] + weight["cross"])
+    return w_same, w_cross, w_overall
 
 
 def analytic_w(spec):

@@ -10,6 +10,7 @@ from ksqkd.adversary import AdversarySpec, exact_intercept_resend_w
 from ksqkd.ksset import SymbolAssignment, build_set
 from ksqkd.protocol import SessionConfig, estimate_error_stats, run_rounds
 
+import oracles
 from oracles import expected_ball_attack_stats
 from steering import basis_index, centre, steer
 
@@ -170,6 +171,23 @@ class TestExactInterceptResend:
         w_same, w_cross, w_overall = exact_intercept_resend_w(ks18)
         assert w_overall > Fraction(1, 9)
         assert 0 < w_same < 1 and 0 < w_cross < 1
+
+    def test_matches_oracle_on_sub_instances(self, ks18):
+        # The last sub-instance keeps all nine bases: the builtin set.
+        labels = [b.label for b in ks18.bases]
+        checked = 0
+        for nb in range(1, len(labels) + 1):
+            for keep in itertools.combinations(labels, nb):
+                sub = oracles.subset_ks(ksset, ks18, set(keep))
+                # Every incidence weighs in same-basis; cross-basis needs
+                # a ray with two home bases in the sub-instance.
+                if not any(len(inc) > 1 for inc in sub.incidence.values()):
+                    continue
+                got = exact_intercept_resend_w(sub)
+                assert got == oracles.intercept_resend_w(sub), keep
+                assert all(type(w) is Fraction for w in got)
+                checked += 1
+        assert checked == 478
 
     def test_diagnostic_mode_nondisturbing(self, ks18):
         # Eve measuring in Alice's own basis reads Alice's state with

@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ksqkd import adversary, ksset
+from ksqkd import adversary, kernel, ksset
 from ksqkd.cli import ConfigError, load_config, main
 
 BALL_CONFIG = """\
@@ -211,6 +212,19 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
+    def test_repeated_assignment_basis_certify_exit_2(self, capsys, tmp_path, ks18):
+        # A second `basis I` line must not silently replace the first.
+        a = tmp_path / "a.txt"
+        lines = ["basis I: 1 2 3 4", "basis I: 4 3 2 1"]
+        lines += [f"basis {b.label}: 1 2 3 4" for b in ks18.bases[1:]]
+        a.write_text("\n".join(lines) + "\n")
+        p = tmp_path / "ball.ini"
+        p.write_text(f"[adversary]\nkind = ball\nball_assignment = {a}\n")
+        assert main(["simulate", "--config", str(p), "--certify"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: line 2: ")
+        assert "basis I defined twice" in err
+
     def test_non_utf8_config_certify_exit_2(self, capsys, tmp_path):
         # Exit 1 would read as INSECURE under --certify.
         p = tmp_path / "binary.ini"
@@ -260,11 +274,28 @@ class TestSweep:
             band = 3 * math.sqrt(max(expect * (1 - expect), 1e-9) / n_checks) + 1e-9
             assert abs(w - expect) <= band
 
-    def test_invalid_range_exit_2(self, run):
-        code, _ = run("sweep", "--start", "0.5", "--stop", "0.1", "--points", "3")
-        assert code == 2
-        code, _ = run("sweep", "--start", "0", "--stop", "1", "--points", "1")
-        assert code == 2
+    def test_invalid_range_exit_2(self, capsys):
+        # The message names the condition that failed, and only that one.
+        for argv, condition in (
+            (("--start", "0.5", "--stop", "0.1", "--points", "3"),
+             "0 <= start <= stop <= 1"),
+            (("--start", "0", "--stop", "1", "--points", "1"), "points >= 2"),
+            (("--start", "0", "--stop", "1", "--points", "2", "--rounds", "0"),
+             "rounds >= 1"),
+        ):
+            assert main(["sweep", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"error: need {condition}\n"), argv
+
+    def test_tables_built_once(self, run, monkeypatch):
+        calls = []
+        build = kernel.build_tables
+        monkeypatch.setattr(kernel, "build_tables",
+                            lambda ks: calls.append(ks) or build(ks))
+        code, out = run("sweep", "--start", "0", "--stop", "0.3", "--points", "4",
+                        "--rounds", "10000")
+        assert code == 0 and len(calls) == 1
+        assert out == (Path(__file__).parent / "golden" / "sweep.out").read_text()
 
     @pytest.mark.parametrize("extra", [
         ("--check-fraction", "2"),

@@ -3,10 +3,13 @@
 ``tests/golden/<name>.out`` holds the stdout of each case below and
 ``tests/golden/exit_codes.json`` its exit code.  The files are written
 once from a trusted tree with ``PYTHONPATH=src python tests/test_golden.py``
-and only compared afterwards.
+and only compared afterwards.  The commands that need only exact
+arithmetic must give the same output with NumPy unimportable.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,6 +41,36 @@ def test_output_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.out").read_text()
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+
+
+# Runs the CLI in a fresh interpreter in which `import numpy` fails.
+NO_NUMPY = """\
+import sys
+sys.modules["numpy"] = None
+from ksqkd.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_without_numpy(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-c", NO_NUMPY, *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("name", ["verify", "color", "mismatch", "analyze", "intercept"])
+def test_exact_commands_run_without_numpy(name):
+    proc = run_without_numpy(CASES[name])
+    assert proc.stderr == ""
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
+    assert proc.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+
+
+def test_help_runs_without_numpy():
+    proc = run_without_numpy(["--help"])
+    assert proc.returncode == 0, proc.stderr
 
 
 if __name__ == "__main__":
