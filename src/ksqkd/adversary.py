@@ -19,7 +19,6 @@ the exact intercept-resend rates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,9 +53,7 @@ def exact_intercept_resend_w(ks: KSSet) -> tuple[Fraction, Fraction, Fraction]:
     integer numerators over the table's common denominator, so the sums
     are integer sums and each rate is one Fraction.
     """
-    table = born_table(ks)
-    den = math.lcm(*(p.denominator for row in table for probs in row for p in probs))
-    num = [[[int(p * den) for p in probs] for probs in row] for row in table]
+    den, num = born_table(ks)
     index = {b.label: bi for bi, b in enumerate(ks.bases)}
     members = [b.members for b in ks.bases]
     # Eve's uniform basis choice weighs every term alike, and Bob's basis

@@ -12,7 +12,6 @@ each round's outcomes with one gather instead of a per-round search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,26 +40,19 @@ def build_tables(ks: KSSet) -> KernelTables:
     """
     nv, nb = len(ks.vectors), len(ks.bases)
     pos = np.full((nv, nb), -1, dtype=np.int32)
-    cum = np.zeros((nv, nb, 4), dtype=np.int32)
     members = np.zeros((nb, 4), dtype=np.int32)
     for bi, b in enumerate(ks.bases):
         members[bi] = b.members
         for p, vid in enumerate(b.members):
             pos[vid, bi] = p
-    table = born_table(ks)
-    for v in ks.vectors:
-        for bi, b in enumerate(ks.bases):
-            probs = table[v.id][bi]
-            acc = Fraction(0)
-            for k, pk in enumerate(probs):
-                acc += pk
-                num = acc * PROB_DENOM
-                if num.denominator != 1:
-                    raise ValueError(
-                        f"probability {pk} of vector {v.id} in basis {b.label} "
-                        f"is not a multiple of 1/{PROB_DENOM}"
-                    )
-                cum[v.id, bi, k] = int(num)
+    den, num = born_table(ks)
+    if PROB_DENOM % den:
+        raise ValueError(
+            f"Born probabilities with denominator {den} are not multiples "
+            f"of 1/{PROB_DENOM}"
+        )
+    cum = np.cumsum(np.array(num), axis=-1)
+    cum *= PROB_DENOM // den
     # The 1-based outcome for s is one more than the count of cumulative
     # numerators at or below s (the loop `while 16u >= cum[k]: k += 1`).
     s = np.arange(PROB_DENOM)[:, None]

@@ -9,13 +9,17 @@ one-symbol-per-ball imitation impossible:
 * any per-basis symbol labeling leaves at least two rays whose two
   derived symbols disagree (minimum mismatch = 2).
 
-All structural computations here are exact (integers / Fractions).
+Both facts come from one depth-first walk over per-basis labelings
+(:func:`_walk`): a coloring is a labeling without defects that gives
+symbol 1 to the selected ray and 2 to the other three.  All structural
+computations here are exact (integers / Fractions).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -151,12 +155,79 @@ def verify_ks_structure(ks: KSSet) -> VerificationReport:
         n = len(ks.incidence[v.id])
         if n != 2:
             fails.append(f"vector {v.id} appears in {n} bases, expected 2")
-    total = sum(len(ks.incidence[v.id]) for v in ks.vectors)
-    if total != 4 * len(ks.bases):
-        fails.append(
-            f"incidence count {total} != 4 * {len(ks.bases)} bases"
-        )
     return VerificationReport(fails)
+
+
+# ---------------------------------------------------------------------------
+# The labeling walk
+# ---------------------------------------------------------------------------
+
+def _walk(ks: KSSet, order, choices, bound: int, leaf) -> list[tuple[int, ...]] | None:
+    """Depth-first search over per-basis labelings with few defective vectors.
+
+    A labeling gives each of a basis's four positions a symbol; a vector
+    is defective when two of its positions, in one basis or in two, carry
+    different symbols.  Depth k labels basis ``order[k]`` with each
+    labeling of ``choices[k]`` in turn, and a branch is cut as soon as its
+    defect count exceeds ``bound``, so leaves are reached in lexicographic
+    order of the choice indices.  Each leaf's labelings, one per depth, go
+    to ``leaf``; the walk stops when ``leaf`` returns True and returns
+    that leaf's labelings, or returns None once every leaf is visited.
+    """
+    # Per depth: the (position, id) pairs of vectors labeled at an earlier
+    # depth and of those labeled here, each at its first position in the
+    # basis, and each labeling with the vectors it splits (gives two
+    # positions of one basis different symbols) and those of them new here.
+    steps, seen = [], set()
+    for i, labelings in zip(order, choices):
+        members = ks.bases[i].members
+        firsts = [(p, v) for p, v in enumerate(members) if v not in members[:p]]
+        new = [(p, v) for p, v in firsts if v not in seen]
+        splits = []
+        for lab in labelings:
+            split = {v for p, v in enumerate(members)
+                     if lab[p] != lab[members.index(v)]}
+            splits.append((lab, split, [v for _, v in new if v in split]))
+        steps.append(([(p, v) for p, v in firsts if v in seen], new, splits))
+        seen.update(members)
+    # Symbol from a vector's first basis, 0 once the vector is defective.
+    # A vector is written at its first depth and read only below it, so
+    # only the defect marks need undoing on the way back up.
+    labels = [0] * len(ks.vectors)
+    chosen: list[tuple[int, ...]] = []
+
+    @functools.cache
+    def options(k: int, need: tuple[int, ...], slack: int):
+        """Depth k's labelings, each with the vectors it newly makes defective."""
+        old, _, splits = steps[k]
+        out = []
+        for lab, split, new_split in splits:
+            bad = new_split + [
+                v for (p, v), s in zip(old, need) if s and (v in split or lab[p] != s)
+            ]
+            if len(bad) <= slack:
+                out.append((lab, bad))
+        return out
+
+    def walk(k: int, slack: int) -> bool:
+        if k == len(steps):
+            return leaf(chosen)
+        old, new, _ = steps[k]
+        for lab, bad in options(k, tuple(labels[v] for _, v in old), slack):
+            for p, v in new:
+                labels[v] = lab[p]
+            saved = [labels[v] for v in bad]
+            for v in bad:
+                labels[v] = 0
+            chosen.append(lab)
+            if walk(k + 1, slack - len(bad)):
+                return True
+            chosen.pop()
+            for v, s in zip(bad, saved):
+                labels[v] = s
+        return False
+
+    return chosen if walk(0, bound) else None
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +236,9 @@ def verify_ks_structure(ks: KSSet) -> VerificationReport:
 
 # Colorings are listed only when there are at most this many.
 COLORING_LIST_LIMIT = 100
+
+# Per basis, the labelings that select one ray: symbol 1 there, 2 elsewhere.
+_PICKS = tuple(tuple(1 if p == q else 2 for p in range(4)) for q in range(4))
 
 
 @dataclass
@@ -176,51 +250,25 @@ class ColoringResult:
 def enumerate_valid_colorings(ks: KSSet) -> ColoringResult:
     """Count one-ray-per-basis selections consistent across shared rays.
 
-    The search walks the 4^n per-basis choice tree depth first, pruning a
-    branch as soon as a shared ray is selected in one home basis but not
-    the other.  A surviving leaf is exactly a valid 0/1 coloring (the
-    selected rays get 1).  For the builtin set the count is 0: that is
-    the Kochen-Specker obstruction.
+    A coloring is a labeling without defects that gives the selected ray
+    of each basis symbol 1 and its other rays symbol 2, so the search is
+    :func:`_walk` over the four such labelings per basis, in basis order,
+    at defect bound 0.  Colorings are listed in depth-first order, as the
+    tuple of selected ids per basis.  For the builtin set the count is 0:
+    that is the Kochen-Specker obstruction.
     """
-    labels = [b.label for b in ks.bases]
-    label_pos = {lab: i for i, lab in enumerate(labels)}
     members = [b.members for b in ks.bases]
-    n = len(ks.bases)
     found: list[tuple[int, ...]] = []
     count = 0
-    picks: list[int] = []
 
-    def consistent(depth: int, vid: int) -> bool:
-        # vid picked in basis `depth`; check against already-decided bases
-        for lab, _ in ks.incidence[vid]:
-            i = label_pos[lab]
-            if i < depth and picks[i] != vid:
-                return False
-        # a ray picked earlier must not sit unpicked in this basis
-        for pos in range(4):
-            other = members[depth][pos]
-            if other == vid:
-                continue
-            for lab, _ in ks.incidence[other]:
-                i = label_pos[lab]
-                if i < depth and picks[i] == other:
-                    return False
-        return True
-
-    def walk(depth: int):
+    def leaf(labels) -> bool:
         nonlocal count
-        if depth == n:
-            count += 1
-            if count <= COLORING_LIST_LIMIT:
-                found.append(tuple(picks))
-            return
-        for vid in members[depth]:
-            if consistent(depth, vid):
-                picks.append(vid)
-                walk(depth + 1)
-                picks.pop()
+        count += 1
+        if count <= COLORING_LIST_LIMIT:
+            found.append(tuple(m[lab.index(1)] for m, lab in zip(members, labels)))
+        return False
 
-    walk(0)
+    _walk(ks, range(len(ks.bases)), [_PICKS] * len(ks.bases), 0, leaf)
     return ColoringResult(count, found if count <= COLORING_LIST_LIMIT else [])
 
 
@@ -302,86 +350,26 @@ def _search_order(ks: KSSet) -> list[int]:
 _PERMS = tuple(itertools.permutations(SYMBOLS))
 
 
-def _first_within(ks: KSSet, order, bound: int) -> list[tuple[int, ...]] | None:
-    """The first labeling with at most ``bound`` defective vectors, or None.
-
-    Depth first over the bases in ``order``, each trying its bijections in
-    lexicographic order, the first basis pinned to the identity; a branch
-    is cut as soon as its defect count exceeds ``bound``.  Leaves are
-    reached in lexicographic order of the per-basis symbol table taken in
-    ``order``, and the first leaf is returned as one bijection per basis.
-    """
-    # Per depth: the (position, id) pairs of vectors labeled at an earlier
-    # depth and of those labeled here, each at its first position in the
-    # basis, and the vectors the basis holds twice (defective whatever the
-    # bijection).
-    steps, seen = [], set()
-    for i in order:
-        members = ks.bases[i].members
-        firsts = [(p, v) for p, v in enumerate(members) if v not in members[:p]]
-        steps.append(([(p, v) for p, v in firsts if v in seen],
-                      [(p, v) for p, v in firsts if v not in seen],
-                      {v for v in members if members.count(v) > 1}))
-        seen.update(members)
-    # Symbol from a vector's first basis, 0 once the vector is defective.
-    # A vector is written at its first depth and read only below it, so
-    # only the defect marks need undoing on the way back up.
-    labels = [0] * len(ks.vectors)
-    chosen: list[tuple[int, ...]] = []
-
-    @functools.cache
-    def options(k: int, need: tuple[int, ...], slack: int):
-        """Depth k's bijections, each with the vectors it newly makes defective."""
-        old, new, twice = steps[k]
-        born_bad = [v for _, v in new if v in twice]
-        out = []
-        for perm in _PERMS[:1] if k == 0 else _PERMS:
-            bad = born_bad + [
-                v for (p, v), s in zip(old, need) if s and (v in twice or perm[p] != s)
-            ]
-            if len(bad) <= slack:
-                out.append((perm, bad))
-        return out
-
-    def walk(k: int, slack: int) -> bool:
-        if k == len(steps):
-            return True
-        old, new, _ = steps[k]
-        for perm, bad in options(k, tuple(labels[v] for _, v in old), slack):
-            for p, v in new:
-                labels[v] = perm[p]
-            saved = [labels[v] for v in bad]
-            for v in bad:
-                labels[v] = 0
-            chosen.append(perm)
-            if walk(k + 1, slack - len(bad)):
-                return True
-            chosen.pop()
-            for v, s in zip(bad, saved):
-                labels[v] = s
-        return False
-
-    return chosen if walk(0, bound) else None
-
-
 def min_symbol_mismatch(ks: KSSet) -> MismatchReport:
     """Exact minimum number of defective vectors over all symbol labelings.
 
-    Two first-hit searches (:func:`_first_within`).  The value: for
-    bound = 0, 1, 2, ... search with the bases in an overlap-maximizing
-    order until some labeling fits; each smaller bound was searched
-    exhaustively and failed, so the search itself proves the minimum.
-    The witness: one more search at that minimum, in basis order, whose
-    first leaf is the optimum with the lexicographically smallest symbol
-    table in basis order.  A global symbol relabeling keeps every defect
-    count, so pinning the first basis to the identity loses no optimum
-    that could come first, and the witness is deterministic.
+    Two first-hit runs of :func:`_walk` over the bijections, the first
+    basis pinned to the identity.  The value: for bound = 0, 1, 2, ...
+    walk with the bases in an overlap-maximizing order until some
+    labeling fits; each smaller bound was searched exhaustively and
+    failed, so the search itself proves the minimum.  The witness: one
+    more walk at that minimum, in basis order, whose first leaf is the
+    optimum with the lexicographically smallest symbol table in basis
+    order.  A global symbol relabeling keeps every defect count, so
+    pinning the first basis to the identity loses no optimum that could
+    come first, and the witness is deterministic.
     """
+    choices = [_PERMS[:1]] + [_PERMS] * (len(ks.bases) - 1)
     order = _search_order(ks)
     best = 0
-    while _first_within(ks, order, best) is None:
+    while _walk(ks, order, choices, best, lambda labels: True) is None:
         best += 1
-    perms = _first_within(ks, range(len(ks.bases)), best)
+    perms = _walk(ks, range(len(ks.bases)), choices, best, lambda labels: True)
     witness = SymbolAssignment({b.label: p for b, p in zip(ks.bases, perms)})
     bad = defective_vectors(ks, witness)
     # Re-derive the count from the witness itself as a consistency check.
@@ -403,17 +391,22 @@ def exact_basis_probs(ks: KSSet, vector_id: int, basis_label: str):
     return qcore.exact_born(state, [ks.vectors[i].raw_amps for i in b.members])
 
 
-def born_table(ks: KSSet) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+def born_table(ks: KSSet) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
     """Exact Born probabilities of every set vector in every set basis.
 
-    ``born_table(ks)[v][bi]`` is :func:`exact_basis_probs` of vector id
-    ``v`` in ``ks.bases[bi]``: one tuple per (vector, basis) pair, 162
-    for the builtin set.
+    Returns ``(den, num)``: ``num[v][bi][k] / den`` is outcome ``k`` of
+    :func:`exact_basis_probs` of vector id ``v`` in ``ks.bases[bi]``, one
+    tuple per (vector, basis) pair, 162 for the builtin set.  ``den`` is
+    the least common denominator, 16 for the builtin set.
     """
-    return tuple(
-        tuple(exact_basis_probs(ks, v.id, b.label) for b in ks.bases)
-        for v in ks.vectors
+    probs = [
+        [exact_basis_probs(ks, v.id, b.label) for b in ks.bases] for v in ks.vectors
+    ]
+    den = math.lcm(*(p.denominator for row in probs for ps in row for p in ps))
+    num = tuple(
+        tuple(tuple(int(p * den) for p in ps) for ps in row) for row in probs
     )
+    return den, num
 
 
 @dataclass
@@ -445,13 +438,13 @@ def wrong_basis_profiles(ks: KSSet) -> ProfileReport:
     """
     entries = []
     violations = []
-    table = born_table(ks)
+    den, num = born_table(ks)
     for v in ks.vectors:
         homes = {lab for lab, _ in ks.incidence[v.id]}
-        for b, probs in zip(ks.bases, table[v.id]):
+        for b, nums in zip(ks.bases, num[v.id]):
             if b.label in homes:
                 continue
-            e = ProfileEntry(v.id, b.label, probs)
+            e = ProfileEntry(v.id, b.label, tuple(Fraction(n, den) for n in nums))
             entries.append(e)
             if e.sorted_profile not in ALLOWED_WRONG_PROFILES:
                 violations.append(e)
@@ -469,6 +462,25 @@ def entanglement_table(ks: KSSet) -> dict[int, bool]:
 # Set file I/O
 # ---------------------------------------------------------------------------
 
+def _read_records(text: str, record) -> None:
+    """Call ``record(kind, name, fields)`` for each ``kind name: fields`` line.
+
+    Blank lines and ``#`` comments are skipped.  A ValueError or
+    IndexError from a line, in the split or in ``record``, becomes a
+    SetFormatError that names the line.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            head, rest = line.split(":", 1)
+            kind, name = head.split()
+            record(kind, name, rest.split())
+        except (ValueError, IndexError) as exc:
+            raise SetFormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
+
+
 def parse_set_file(text: str) -> KSSet:
     """Parse the line-oriented set format.
 
@@ -478,34 +490,28 @@ def parse_set_file(text: str) -> KSSet:
     """
     vecs: dict[int, tuple[int, int, int, int]] = {}
     basis_ids: dict[str, tuple[int, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            head, rest = line.split(":", 1)
-            kind, name = head.split()
-            fields = rest.split()
-            if kind == "vector":
-                if len(fields) != 4:
-                    raise ValueError("expected 4 amplitudes")
-                amps = tuple(int(x) for x in fields)
-                if not any(amps):
-                    raise ValueError("zero vector")
-                vid = int(name)
-                if vid in vecs:
-                    raise ValueError(f"vector {vid} defined twice")
-                vecs[vid] = amps
-            elif kind == "basis":
-                if len(fields) != 4:
-                    raise ValueError("expected 4 vector ids")
-                if name in basis_ids:
-                    raise ValueError(f"basis {name} defined twice")
-                basis_ids[name] = tuple(int(x) for x in fields)
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-        except (ValueError, IndexError) as exc:
-            raise SetFormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
+
+    def record(kind: str, name: str, fields: list[str]) -> None:
+        if kind == "vector":
+            if len(fields) != 4:
+                raise ValueError("expected 4 amplitudes")
+            amps = tuple(int(x) for x in fields)
+            if not any(amps):
+                raise ValueError("zero vector")
+            vid = int(name)
+            if vid in vecs:
+                raise ValueError(f"vector {vid} defined twice")
+            vecs[vid] = amps
+        elif kind == "basis":
+            if len(fields) != 4:
+                raise ValueError("expected 4 vector ids")
+            if name in basis_ids:
+                raise ValueError(f"basis {name} defined twice")
+            basis_ids[name] = tuple(int(x) for x in fields)
+        else:
+            raise ValueError(f"unknown record kind {kind!r}")
+
+    _read_records(text, record)
     if not basis_ids:
         raise SetFormatError("no basis records found")
     try:
@@ -524,23 +530,18 @@ def parse_assignment_file(text: str, ks: KSSet) -> SymbolAssignment:
     is an error.
     """
     symbols: dict[str, tuple[int, int, int, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            head, rest = line.split(":", 1)
-            kind, label = head.split()
-            if kind != "basis":
-                raise ValueError(f"unknown record kind {kind!r}")
-            syms = tuple(int(x) for x in rest.split())
-            if len(syms) != 4:
-                raise ValueError("expected 4 symbols")
-            if label in symbols:
-                raise ValueError(f"basis {label} defined twice")
-            symbols[label] = syms
-        except (ValueError, IndexError) as exc:
-            raise SetFormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
+
+    def record(kind: str, label: str, fields: list[str]) -> None:
+        if kind != "basis":
+            raise ValueError(f"unknown record kind {kind!r}")
+        syms = tuple(int(x) for x in fields)
+        if len(syms) != 4:
+            raise ValueError("expected 4 symbols")
+        if label in symbols:
+            raise ValueError(f"basis {label} defined twice")
+        symbols[label] = syms
+
+    _read_records(text, record)
     missing = {b.label for b in ks.bases} - set(symbols)
     if missing:
         raise SetFormatError(f"missing assignments for bases {sorted(missing)}")

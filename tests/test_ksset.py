@@ -93,9 +93,31 @@ class TestColorings:
         res = enumerate_valid_colorings(build_set(ONE_BASIS))
         assert res.count == 4
         assert len(res.colorings) == 4
+        # A basis listing one ray twice: only its two other rays can be picked.
+        twice = build_set(
+            [("I", ((1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))]
+        )
+        res = enumerate_valid_colorings(twice)
+        assert res.count == 2 == oracles.brute_force_coloring_count(twice)
+        assert res.colorings == [(1,), (2,)]
 
     def test_two_disjoint_bases(self):
         assert enumerate_valid_colorings(build_set(TWO_DISJOINT)).count == 16
+
+    def test_list_limit(self, monkeypatch):
+        bases = (*TWO_DISJOINT,
+                 ("C", ((1, 0, 1, 0), (1, 0, -1, 0), (0, 1, 0, 1), (0, 1, 0, -1))),
+                 ("D", ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))))
+        three = build_set(bases[:3])
+        # Every coloring of disjoint bases, listed depth first.
+        every = list(itertools.product(*(b.members for b in three.bases)))
+        assert enumerate_valid_colorings(three) == ksset.ColoringResult(64, every)
+        four = build_set(bases)
+        assert enumerate_valid_colorings(four) == ksset.ColoringResult(256, [])
+        monkeypatch.setattr(ksset, "COLORING_LIST_LIMIT", 64)
+        assert enumerate_valid_colorings(three).colorings == every
+        monkeypatch.setattr(ksset, "COLORING_LIST_LIMIT", 63)
+        assert enumerate_valid_colorings(three) == ksset.ColoringResult(64, [])
 
     def test_brute_force_agrees_on_builtin(self, ks18):
         assert oracles.brute_force_coloring_count(ks18) == 0
