@@ -1,12 +1,17 @@
 """Every command's stdout and exit code, byte for byte, against stored files.
 
 ``tests/golden/<name>.out`` holds the stdout of each case below and
-``tests/golden/exit_codes.json`` its exit code.  The files are written
-once from a trusted tree with ``PYTHONPATH=src python tests/test_golden.py``
-and only compared afterwards.  The commands that need only exact
-arithmetic must give the same output with NumPy unimportable.
+``tests/golden/exit_codes.json`` its exit code.  Each bad input exits
+with no stdout; ``tests/golden/bad_input.json`` holds its exit code and
+stderr, with the checkout path written as ``<checkout>``.  The files are
+written once from a trusted tree with
+``PYTHONPATH=src python tests/test_golden.py`` and only compared
+afterwards.  The commands that need only exact arithmetic must give the
+same output with NumPy unimportable.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -18,6 +23,7 @@ import pytest
 from ksqkd.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+CHECKOUT = str(GOLDEN.parent.parent)
 
 CASES = {
     "verify": ["verify"],
@@ -41,6 +47,55 @@ def test_output_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.out").read_text()
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+
+
+BAD = GOLDEN / "bad"
+MISSING = GOLDEN / "missing"  # never created
+SWEEP = ["sweep", "--start", "0", "--stop", "0.3", "--points", "3", "--rounds", "100"]
+BAD_CASES = {
+    "set-zero-vector": ["verify", "--set", str(BAD / "zero.ks")],
+    "set-non-utf8": ["color", "--set", str(BAD / "binary.ks")],
+    "set-missing": ["mismatch", "--set", str(MISSING / "set.ks")],
+    "set-directory": ["verify", "--set", str(BAD)],
+    **{
+        f"config-{name}": ["simulate", "--certify", "--config", str(path)]
+        for name, path in (
+            ("bad-rounds", BAD / "rounds.ini"),
+            ("missing-assignment", BAD / "assignment.ini"),
+            ("unknown-section", BAD / "section.ini"),
+            ("missing", MISSING / "config.ini"),
+        )
+    },
+    **{
+        f"out-{argv[0]}": [*argv, "--out", str(MISSING / "out.txt")]
+        for argv in (
+            ["analyze"],
+            ["simulate", "--certify", "--config", str(GOLDEN / "ideal.ini")],
+            SWEEP,
+        )
+    },
+    "sweep-param": [*SWEEP, "--param", "noise.q"],
+    "sweep-range": [*SWEEP, "--start", "0.5", "--stop", "0.1"],
+    "sweep-points": [*SWEEP, "--points", "1"],
+    "sweep-rounds": [*SWEEP, "--rounds", "0"],
+    "sweep-check-fraction": [*SWEEP, "--check-fraction", "2"],
+    "sweep-seed": [*SWEEP, "--seed", "-1"],
+}
+
+
+def run_bad_input(argv):
+    """(exit code, stderr with the checkout path as a placeholder)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert out.getvalue() == ""
+    return {"code": code, "stderr": err.getvalue().replace(CHECKOUT, "<checkout>")}
+
+
+@pytest.mark.parametrize("name", BAD_CASES)
+def test_bad_input_matches_golden(name):
+    golden = json.loads((GOLDEN / "bad_input.json").read_text())
+    assert run_bad_input(BAD_CASES[name]) == golden[name]
 
 
 # Runs the CLI in a fresh interpreter in which `import numpy` fails.
@@ -83,3 +138,5 @@ if __name__ == "__main__":
             sys.stdout.close()
             sys.stdout = stdout
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    bad = {name: run_bad_input(argv) for name, argv in BAD_CASES.items()}
+    (GOLDEN / "bad_input.json").write_text(json.dumps(bad, indent=2) + "\n")
