@@ -27,9 +27,9 @@ from .ksset import KSSet, SymbolAssignment, born_table
 ADVERSARY_KINDS = ("none", "ball", "intercept_resend")
 
 # Certification threshold on w (both overall and cross-basis, strict): a
-# session is secure only while its error rates stay below 1/9.
-W_THRESHOLD_NUM = 1
-W_THRESHOLD_DEN = 9
+# session is secure only while its error rates stay below 1/9.  It is
+# exact because the float 1/9 lies just below the rational 1/9.
+W_THRESHOLD = Fraction(1, 9)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ sweep / intercept.
 All outputs are machine-first (JSON or CSV), carry no timestamps, and are
 byte-reproducible from their inputs.  Exit codes: 0 success (or SECURE
 with --certify), 1 check failure / INSECURE, 2 bad input (including an
-unreadable input file or an unwritable --out), 3 INDETERMINATE.
+unreadable input file or an unwritable --out), 3 INDETERMINATE.  A command
+raises ``ConfigError`` for bad input; only ``main`` catches it, printing
+``error: <message>`` to stderr and returning 2.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import argparse
 import configparser
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,7 +38,7 @@ _KNOWN_KEYS = {
 
 
 class ConfigError(ValueError):
-    pass
+    """Bad input; `main` exits 2 with its message."""
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> SessionConfig:
@@ -75,7 +76,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> SessionCo
             rounds=rounds, seed=seed, check_fraction=check_fraction,
             noise=noise, adversary=adv,
         )
-    except (ValueError, SetFormatError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -97,29 +98,26 @@ def _load_adversary(section: dict) -> AdversarySpec:
 
 
 def _load_set(path: str | None):
-    """The set file at `path` (builtin when None); None after an error message."""
+    """The set file at `path`, or the builtin set when None."""
     if path is None:
         return ksset.builtin_ks18()
     try:
         return ksset.parse_set_file(Path(path).read_text())
     except (OSError, SetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        raise ConfigError(str(exc)) from exc
     except UnicodeDecodeError as exc:
-        print(f"error: cannot read set {path}: {exc}", file=sys.stderr)
-    return None
+        raise ConfigError(f"cannot read set {path}: {exc}") from exc
 
 
-def _emit(text: str, out_path: str | None) -> bool:
-    """Write `text` to stdout or `out_path`; False after an error message."""
+def _emit(text: str, out_path: str | None) -> None:
+    """Write `text` to stdout or `out_path`."""
     if out_path is None:
         sys.stdout.write(text)
-        return True
+        return
     try:
         Path(out_path).write_text(text)
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +126,6 @@ def _emit(text: str, out_path: str | None) -> bool:
 
 def cmd_verify(args) -> int:
     ks = _load_set(args.set)
-    if ks is None:
-        return 2
     report = ksset.verify_ks_structure(ks)
     print(str(report))
     return 0 if report.ok else 1
@@ -137,8 +133,6 @@ def cmd_verify(args) -> int:
 
 def cmd_color(args) -> int:
     ks = _load_set(args.set)
-    if ks is None:
-        return 2
     result = ksset.enumerate_valid_colorings(ks)
     doc = {"colorings": result.count, "list": [list(c) for c in result.colorings]}
     print(json.dumps(doc, indent=2))
@@ -147,8 +141,6 @@ def cmd_color(args) -> int:
 
 def cmd_mismatch(args) -> int:
     ks = _load_set(args.set)
-    if ks is None:
-        return 2
     rep = ksset.min_symbol_mismatch(ks)
     doc = {
         "min_mismatch": rep.mismatch_count,
@@ -180,8 +172,7 @@ def cmd_analyze(args) -> int:
         "profiles_ok": ksset.wrong_basis_profiles(ks).ok,
         "entangled_count": sum(ksset.entanglement_table(ks).values()),
     }
-    if not _emit(json.dumps(doc, indent=2) + "\n", args.out):
-        return 2
+    _emit(json.dumps(doc, indent=2) + "\n", args.out)
     ok = all(doc[k] == v for k, v in _ANALYZE_EXPECT.items())
     return 0 if ok else 1
 
@@ -189,14 +180,9 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     from . import protocol
 
-    try:
-        config = load_config(args.config, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config, seed_override=args.seed)
     report = protocol.run_session(config)
-    if not _emit(report.to_json(), args.out):
-        return 2
+    _emit(report.to_json(), args.out)
     if not args.certify:
         return 0
     if report.certified is None:
@@ -218,16 +204,14 @@ def cmd_sweep(args) -> int:
     from . import kernel, protocol
 
     if args.param != "noise.p":
-        print(f"error: unsupported sweep parameter {args.param!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unsupported sweep parameter {args.param!r}")
     for ok, condition in (
         (0.0 <= args.start <= args.stop <= 1.0, "0 <= start <= stop <= 1"),
         (args.points >= 2, "points >= 2"),
         (args.rounds >= 1, "rounds >= 1"),
     ):
         if not ok:
-            print(f"error: need {condition}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"need {condition}")
     # Every point's config is checked before the first session runs.
     configs = []
     for i in range(args.points):
@@ -240,8 +224,7 @@ def cmd_sweep(args) -> int:
                 noise=NoiseSpec(kind="depolarizing", p=p),
             ))
         except ValueError as exc:
-            print(f"error: sweep point {i}: {exc}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"sweep point {i}: {exc}") from exc
     # Every point runs on the same set, so its tables are built once.
     tables = kernel.build_tables(ksset.builtin_ks18())
     rows = ["p,w_overall,w_same,w_cross,sift_rate,rounds_sifted,certified"]
@@ -254,20 +237,19 @@ def cmd_sweep(args) -> int:
             _csv_cell(r.w_cross), repr(r.sift_rate), str(r.rounds_sifted),
             certified,
         ]))
-    return 0 if _emit("\n".join(rows) + "\n", args.out) else 2
+    _emit("\n".join(rows) + "\n", args.out)
+    return 0
 
 
 def cmd_intercept(args) -> int:
     ks = ksset.builtin_ks18()
     w_same, w_cross, w_overall = adversary.exact_intercept_resend_w(ks)
-    # Exact threshold: the float 1/9 lies just below the rational 1/9.
-    threshold = Fraction(adversary.W_THRESHOLD_NUM, adversary.W_THRESHOLD_DEN)
     doc = {
         "w_same": [w_same.numerator, w_same.denominator],
         "w_cross": [w_cross.numerator, w_cross.denominator],
         "w_overall": [w_overall.numerator, w_overall.denominator],
         "w_overall_float": float(w_overall),
-        "exceeds_threshold": w_overall > threshold,
+        "exceeds_threshold": w_overall > adversary.W_THRESHOLD,
     }
     print(json.dumps(doc, indent=2))
     return 0
@@ -319,7 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -152,7 +152,7 @@ def verify_ks_structure(ks: KSSet) -> VerificationReport:
             fails.append(f"vectors {seen[canon]} and {v.id} are the same ray")
         seen[canon] = v.id
     for v in ks.vectors:
-        n = len(ks.incidence[v.id])
+        n = len({lab for lab, _ in ks.incidence[v.id]})
         if n != 2:
             fails.append(f"vector {v.id} appears in {n} bases, expected 2")
     return VerificationReport(fails)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import kernel, ksset
-from .adversary import W_THRESHOLD_DEN, W_THRESHOLD_NUM, AdversarySpec
+from .adversary import W_THRESHOLD, AdversarySpec
 from .channels import NoiseSpec
 from .kernel import KernelTables
 
@@ -197,14 +197,14 @@ def certify(stats: CheckStats) -> Verdict:
     The dual test exists because the ball attack's trace concentrates in
     cross-basis rounds (same-basis rounds are error free by construction),
     so w_overall alone would halve the attack's visible signature.
-    Exact integer comparison avoids threshold rounding at the boundary.
+    Exact rational comparison avoids threshold rounding at the boundary.
     """
     if stats.n_checks == 0 or stats.n_cross == 0:
         return Verdict(INDETERMINATE, ())
     failed = []
-    if not stats.errors_overall * W_THRESHOLD_DEN < stats.n_checks * W_THRESHOLD_NUM:
+    if not stats.errors_overall < stats.n_checks * W_THRESHOLD:
         failed.append("w_overall")
-    if not stats.errors_cross * W_THRESHOLD_DEN < stats.n_cross * W_THRESHOLD_NUM:
+    if not stats.errors_cross < stats.n_cross * W_THRESHOLD:
         failed.append("w_cross")
     return Verdict(INSECURE if failed else SECURE, tuple(failed))
 
@@ -244,21 +244,10 @@ class SessionReport:
     key_agreement_rate: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "rounds_total": self.rounds_total,
-            "rounds_sifted": self.rounds_sifted,
-            "sift_rate": self.sift_rate,
-            "same_basis_rate": self.same_basis_rate,
-            "checks_used": self.checks_used,
-            "w_overall": self.w_overall,
-            "w_same": self.w_same,
-            "w_cross": self.w_cross,
-            "certified": self.certified,
-            "key_alice": self.key_alice,
-            "key_bob": self.key_bob,
-            "key_agreement_rate": self.key_agreement_rate,
-        }
+        """Every field in declaration order, the config as its own dict."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["config"] = self.config.to_dict()
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -83,6 +83,16 @@ class TestVerify:
         report = verify_ks_structure(build_set(bad))
         assert not report.ok
         assert any("orthogonal" in f for f in report.failures)
+        # Vector 0 fills two slots of basis I and sits in no other basis:
+        # it counts as in one basis, not two.
+        text = ("vector 0: 1 0 0 0\nvector 1: 0 0 1 0\nvector 2: 0 0 0 1\n"
+                "basis I: 0 0 1 2\n")
+        assert verify_ks_structure(parse_set_file(text)).failures == [
+            "basis I: vectors 0 and 0 not orthogonal",
+            "vector 0 appears in 1 bases, expected 2",
+            "vector 1 appears in 1 bases, expected 2",
+            "vector 2 appears in 1 bases, expected 2",
+        ]
 
 
 class TestColorings:
