@@ -36,6 +36,12 @@ CASES = {
                              "--config", str(GOLDEN / f"{name}.ini")]
         for name in ("ideal", "ball", "intercept-noisy")
     },
+    # 10^5 rounds span several chunks of protocol.CHUNK_ROUNDS.
+    **{
+        f"simulate-{name}-100k": ["simulate", "--certify", "--seed", "5",
+                                  "--config", str(GOLDEN / f"{name}-100k.ini")]
+        for name in ("ball", "intercept-noisy")
+    },
     "sweep": ["sweep", "--start", "0", "--stop", "0.3", "--points", "4",
               "--rounds", "10000"],
 }
