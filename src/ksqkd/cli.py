@@ -102,11 +102,13 @@ def _load_set(path: str | None):
     if path is None:
         return ksset.builtin_ks18()
     try:
-        return ksset.parse_set_file(Path(path).read_text())
-    except (OSError, SetFormatError) as exc:
-        raise ConfigError(str(exc)) from exc
-    except UnicodeDecodeError as exc:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read set {path}: {exc}") from exc
+    try:
+        return ksset.parse_set_file(text)
+    except SetFormatError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:

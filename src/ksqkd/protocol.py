@@ -12,12 +12,19 @@ substreams (alice, bob, noise, adversary, check) via numpy
 of uniforms per round.  Toggling one component therefore never perturbs
 another component's draws, and the whole session is reproducible
 bit-for-bit from (config, seed).
+
+A session runs in chunks of ``CHUNK_ROUNDS`` rounds, so its memory does
+not grow with the round count beyond the two key strings.  Each chunk
+draws its next uniforms from the same five generators; consecutive
+``random`` calls continue one stream, so the draws, and the report, are
+bit-for-bit those of one call over all rounds, at any chunk size.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,6 +38,9 @@ SECURE, INSECURE, INDETERMINATE = "SECURE", "INSECURE", "INDETERMINATE"
 
 # Substream indices of the master seed's spawn keys.
 STREAM_INDEX = {"alice": 0, "bob": 1, "noise": 2, "adversary": 3, "check": 4}
+
+# Rounds drawn, simulated and tallied at a time by run_session.
+CHUNK_ROUNDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -90,29 +100,64 @@ class RoundLog:
         return len(self.index)
 
 
-def run_rounds(config: SessionConfig, tables: KernelTables | None = None) -> RoundLog:
-    """Simulate all rounds of a session through the round kernel.
+def substreams(seed: int) -> dict[str, np.random.Generator]:
+    """All five named substreams of a master seed, each at round 0."""
+    return {name: substream(seed, name) for name in STREAM_INDEX}
+
+
+def run_rounds(
+    config: SessionConfig,
+    tables: KernelTables | None = None,
+    streams: dict[str, np.random.Generator] | None = None,
+    start: int = 0,
+    count: int | None = None,
+    assign: np.ndarray | None = None,
+) -> RoundLog:
+    """Simulate ``count`` rounds of a session, from round ``start`` on.
 
     ``tables`` are the kernel tables of the set to run on; without them
-    the builtin set and its tables are built here, once per call.
+    the builtin set and its tables are built here.  ``streams`` are the
+    session's substreams, standing at round ``start``; without them they
+    are made here at round 0.  ``assign`` is the ball adversary's
+    assignment table on those tables.  The defaults run every round of
+    the session.
     """
     if tables is None:
         tables = kernel.build_tables(ksset.builtin_ks18())
-    assign = kernel.assignment_table(tables.ks, config.adversary.ball_assignment)
-    n = config.rounds
-    ua = substream(config.seed, "alice").random((n, 2))
-    ub = substream(config.seed, "bob").random((n, 2))
-    un = substream(config.seed, "noise").random((n, 2))
-    ue = substream(config.seed, "adversary").random((n, 2))
-    uc = substream(config.seed, "check").random(n)
+    if streams is None:
+        if start:
+            raise ValueError("rounds after 0 need the session's streams")
+        streams = substreams(config.seed)
+    if count is None:
+        count = config.rounds - start
+    if assign is None:
+        assign = kernel.assignment_table(tables.ks, config.adversary.ball_assignment)
+    ua = streams["alice"].random((count, 2))
+    ub = streams["bob"].random((count, 2))
+    un = streams["noise"].random((count, 2))
+    ue = streams["adversary"].random((count, 2))
+    uc = streams["check"].random(count)
     columns = kernel.simulate_rounds(
         tables, assign, config.adversary.kind, config.noise, ua, ub, un, ue
     )
     return RoundLog(
-        index=np.arange(n, dtype=np.int64),
+        index=np.arange(start, start + count, dtype=np.int64),
         check=columns["sifted"] & (uc < config.check_fraction),
         **columns,
     )
+
+
+def iter_chunks(
+    config: SessionConfig, tables: KernelTables | None = None
+) -> Iterator[RoundLog]:
+    """Every round of a session as logs of ``CHUNK_ROUNDS`` rounds, in order."""
+    if tables is None:
+        tables = kernel.build_tables(ksset.builtin_ks18())
+    streams = substreams(config.seed)
+    assign = kernel.assignment_table(tables.ks, config.adversary.ball_assignment)
+    for start in range(0, config.rounds, CHUNK_ROUNDS):
+        count = min(CHUNK_ROUNDS, config.rounds - start)
+        yield run_rounds(config, tables, streams, start, count, assign)
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -162,6 +207,12 @@ class CheckStats:
             "same": wilson_interval(self.errors_same, self.n_same),
             "cross": wilson_interval(self.errors_cross, self.n_cross),
         }
+
+    def __add__(self, other: CheckStats) -> CheckStats:
+        """The statistics of two disjoint sets of rounds taken together."""
+        return CheckStats(*(
+            getattr(self, f.name) + getattr(other, f.name) for f in fields(self)
+        ))
 
 
 def estimate_error_stats(log: RoundLog) -> CheckStats:
@@ -214,16 +265,19 @@ def _digits(symbols: np.ndarray) -> str:
     return (symbols + ord("0")).astype(np.uint8).tobytes().decode("ascii")
 
 
+def _agreements(key_a: str, key_b: str) -> int:
+    """Positions at which two keys of the same length hold the same digit."""
+    a = np.frombuffer(key_a.encode("ascii"), dtype=np.uint8)
+    b = np.frombuffer(key_b.encode("ascii"), dtype=np.uint8)
+    return int(np.count_nonzero(a == b))
+
+
 def extract_key(log: RoundLog) -> tuple[str, str, float | None]:
     """Keys from sifted non-check rounds, in round order."""
     keep = np.flatnonzero(log.sifted & ~log.check)
     key_a = _digits(log.alice_symbol[keep])
     key_b = _digits(log.bob_outcome[keep])
-    agreement = None
-    if len(keep):
-        agreement = float(
-            (log.alice_symbol[keep] == log.bob_outcome[keep]).mean()
-        )
+    agreement = _agreements(key_a, key_b) / len(keep) if len(keep) else None
     return key_a, key_b, agreement
 
 
@@ -253,14 +307,26 @@ class SessionReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def report_from_log(config: SessionConfig, log: RoundLog) -> SessionReport:
-    """Aggregate a round log into the session report."""
-    n = len(log)
-    n_sifted = int(log.sifted.sum())
-    n_same = int((log.sifted & ~log.cross_basis).sum())
-    stats = estimate_error_stats(log)
+def report_from_log(config: SessionConfig, logs: Iterable[RoundLog]) -> SessionReport:
+    """Aggregate a session's round logs, in round order, into its report.
+
+    Each log is tallied and then dropped, so ``logs`` may be a generator
+    of chunks; only the key digits are kept.
+    """
+    n = n_sifted = n_same = n_agree = 0
+    stats = CheckStats(0, 0, 0, 0, 0, 0)
+    keys_a, keys_b = [], []
+    for log in logs:
+        n += len(log)
+        n_sifted += int(log.sifted.sum())
+        n_same += int((log.sifted & ~log.cross_basis).sum())
+        stats += estimate_error_stats(log)
+        key_a, key_b, _ = extract_key(log)
+        keys_a.append(key_a)
+        keys_b.append(key_b)
+        n_agree += _agreements(key_a, key_b)
+    key_alice, key_bob = "".join(keys_a), "".join(keys_b)
     verdict = certify(stats)
-    key_a, key_b, agreement = extract_key(log)
     return SessionReport(
         config=config,
         rounds_total=n,
@@ -272,14 +338,14 @@ def report_from_log(config: SessionConfig, log: RoundLog) -> SessionReport:
         w_same=stats.w_same,
         w_cross=stats.w_cross,
         certified=verdict.certified,
-        key_alice=key_a,
-        key_bob=key_b,
-        key_agreement_rate=agreement,
+        key_alice=key_alice,
+        key_bob=key_bob,
+        key_agreement_rate=n_agree / len(key_alice) if key_alice else None,
     )
 
 
 def run_session(
     config: SessionConfig, tables: KernelTables | None = None
 ) -> SessionReport:
-    """Run a full session; deterministic given (config, seed)."""
-    return report_from_log(config, run_rounds(config, tables))
+    """Run a full session chunk by chunk; deterministic given (config, seed)."""
+    return report_from_log(config, iter_chunks(config, tables))

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ksqkd import kernel, protocol
 from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
 from ksqkd.protocol import (
@@ -16,6 +18,7 @@ from ksqkd.protocol import (
     certify,
     estimate_error_stats,
     extract_key,
+    iter_chunks,
     report_from_log,
     run_rounds,
     run_session,
@@ -229,8 +232,8 @@ class TestRunSession:
         shuffled = type(log)(**{
             f.name: getattr(log, f.name)[perm] for f in dataclasses.fields(log)
         })
-        a = report_from_log(cfg, log).to_dict()
-        b = report_from_log(cfg, shuffled).to_dict()
+        a = report_from_log(cfg, [log]).to_dict()
+        b = report_from_log(cfg, [shuffled]).to_dict()
         assert sorted(a.pop("key_alice")) == sorted(b.pop("key_alice"))
         assert sorted(a.pop("key_bob")) == sorted(b.pop("key_bob"))
         assert a == b
@@ -259,3 +262,65 @@ class TestRunSession:
         assert np.array_equal(a.alice_basis, b.alice_basis)
         assert np.array_equal(a.alice_state, b.alice_state)
         assert np.array_equal(a.bob_basis, b.bob_basis)
+
+
+def intercept_noisy(rounds, seed):
+    return SessionConfig(
+        rounds=rounds, seed=seed, noise=NoiseSpec("depolarizing", 0.05),
+        adversary=AdversarySpec("intercept_resend"),
+    )
+
+
+class TestChunks:
+    N = 3_000
+
+    @pytest.fixture(params=["ideal", "ball", "intercept-noisy"])
+    def config(self, request, optimal_witness):
+        if request.param == "ideal":
+            return SessionConfig(rounds=self.N, seed=21)
+        if request.param == "ball":
+            return SessionConfig(
+                rounds=self.N, seed=21,
+                adversary=AdversarySpec("ball", optimal_witness.witness),
+            )
+        return intercept_noisy(self.N, 21)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 15, N])
+    def test_report_does_not_depend_on_chunk_size(self, monkeypatch, config, chunk):
+        whole = report_from_log(config, [run_rounds(config)]).to_json()
+        monkeypatch.setattr(protocol, "CHUNK_ROUNDS", chunk)
+        assert run_session(config).to_json() == whole
+
+    def test_chunk_logs_concatenate_to_the_session_log(self, monkeypatch, config):
+        monkeypatch.setattr(protocol, "CHUNK_ROUNDS", 7)
+        chunks = list(iter_chunks(config))
+        assert [len(c) for c in chunks] == [7] * (self.N // 7) + [self.N % 7]
+        whole = run_rounds(config)
+        for f in dataclasses.fields(whole):
+            joined = np.concatenate([getattr(c, f.name) for c in chunks])
+            assert joined.dtype == getattr(whole, f.name).dtype, f.name
+            assert np.array_equal(joined, getattr(whole, f.name)), f.name
+
+    def test_later_rounds_need_the_session_streams(self):
+        with pytest.raises(ValueError):
+            run_rounds(SessionConfig(rounds=10, seed=1), start=3)
+
+
+def test_memory_does_not_grow_with_rounds(ks18):
+    # tracemalloc sees NumPy's data buffers too.  Beyond the key strings a
+    # session holds one chunk at a time, so four times the rounds may only
+    # add the longer keys and 1 MB.
+    tables = kernel.build_tables(ks18)
+
+    def traced_peak(rounds):
+        tracemalloc.start()
+        try:
+            report = run_session(intercept_noisy(rounds, 3), tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, len(report.key_alice) + len(report.key_bob)
+
+    small, small_keys = traced_peak(200_000)
+    large, large_keys = traced_peak(800_000)
+    assert large - small <= (large_keys - small_keys) + 2**20
