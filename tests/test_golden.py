@@ -1,7 +1,8 @@
 """Every command's stdout and exit code, byte for byte, against stored files.
 
 ``tests/golden/<name>.out`` holds the stdout of each case below and
-``tests/golden/exit_codes.json`` its exit code.  Each bad input exits
+``tests/golden/exit_codes.json`` its exit code; the 10^6-round sessions
+are held as a digest of stdout instead.  Each bad input exits
 with no stdout; ``tests/golden/bad_input.json`` holds its exit code and
 stderr, with the checkout path written as ``<checkout>``.  The files are
 written once from a trusted tree with
@@ -11,6 +12,7 @@ same output with NumPy unimportable.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -53,6 +55,32 @@ def test_output_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.out").read_text()
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+
+
+# 10^6-round sessions, tens of chunks of protocol.CHUNK_ROUNDS, held
+# as the SHA-256 of stdout and the exit code.  The digests were taken
+# once from a trusted tree and are never regenerated.
+DIGEST_CASES = {
+    "simulate-ball-1m": (
+        ["simulate", "--certify", "--seed", "3",
+         "--config", str(GOLDEN / "ball-1m.ini")],
+        "74925dc4035e82dbb43d0a5a35977f75c230da8e839cac4bba3212be31688557", 0,
+    ),
+    "simulate-intercept-noisy-1m": (
+        ["simulate", "--certify", "--seed", "7",
+         "--config", str(GOLDEN / "intercept-noisy-1m.ini")],
+        "54d8ec3fc7d45e87f98176df3684079d33fb7a4a77db462e2fb8ce8ca4031cfa", 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DIGEST_CASES)
+def test_output_matches_golden_digest(capsys, name):
+    argv, digest, want_code = DIGEST_CASES[name]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert code == want_code
 
 
 BAD = GOLDEN / "bad"
