@@ -7,6 +7,14 @@ numerator is an integer.  An outcome drawn by inverse CDF from a uniform
 holds exactly when ``s >= c`` for integer ``c``.  ``build_tables``
 precomputes the outcome for every (ray, basis, s), and the kernel reads
 each round's outcomes with one gather instead of a per-round search.
+
+Every uniform is read only through its cell ``floor(m u)``, computed
+once per column as int32 (m is 9, 4 or 16).  Each round quantity is a
+table entry at an integer combination of those cells, so the kernel
+reads every column with ``ndarray.take`` from a flat table that
+``build_tables`` lays out once: Alice's state by her incidence
+``a = 4 ba + pos``, Bob's sift position by ``(a, bb)``, Eve's forwarded
+ray by ``(v, eb, s)`` and Bob's outcome by ``(ray, bb, s)``.
 """
 
 from __future__ import annotations
@@ -24,12 +32,21 @@ PROB_DENOM = 16
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Integer lookup tables driving the round kernel, with their set."""
+    """Integer lookup tables driving the round kernel, with their set.
+
+    The first three are indexed by (ray, basis, s); the last four are
+    the flat tables ``simulate_rounds`` reads with ``ndarray.take``.
+    An incidence ``a = 4 ba + pos`` is Alice's (basis, position) pair.
+    """
 
     ks: KSSet               # the set the tables were built from
     pos_table: np.ndarray   # int32[nv, nb], -1 when vector not in basis
     outcome_table: np.ndarray  # int8[nv, nb, 16], 1-based outcome per floor(16u)
     members: np.ndarray     # int32[nb, 4]
+    state: np.ndarray       # int32[4 nb], the ray of incidence a
+    sift_pos: np.ndarray    # int32[4 nb nb], pos_table[state[a], bb] at a nb + bb
+    forward: np.ndarray     # int32[nv nb 16], Eve's forwarded ray at (v nb + eb) 16 + s
+    outcome: np.ndarray     # int32[nv nb 16], outcome_table raveled
 
 
 def build_tables(ks: KSSet) -> KernelTables:
@@ -56,8 +73,17 @@ def build_tables(ks: KSSet) -> KernelTables:
     # The 1-based outcome for s is one more than the count of cumulative
     # numerators at or below s (the loop `while 16u >= cum[k]: k += 1`).
     s = np.arange(PROB_DENOM)[:, None]
-    outcome = 1 + (cum[:, :, None, :] <= s).sum(axis=-1)
-    return KernelTables(ks, pos, outcome.astype(np.int8), members)
+    outcome = (1 + (cum[:, :, None, :] <= s).sum(axis=-1)).astype(np.int8)
+    state = members.ravel()
+    # Eve measuring ray v in basis eb forwards the member her outcome names.
+    forward = members[np.arange(nb)[:, None], outcome - 1]
+    return KernelTables(
+        ks, pos, outcome, members,
+        state=state,
+        sift_pos=pos[state].ravel(),
+        forward=forward.ravel(),
+        outcome=outcome.ravel().astype(np.int32),
+    )
 
 
 def assignment_table(ks: KSSet, assignment: SymbolAssignment | None) -> np.ndarray:
@@ -68,9 +94,13 @@ def assignment_table(ks: KSSet, assignment: SymbolAssignment | None) -> np.ndarr
     return table
 
 
-def _index(u: np.ndarray, count: int) -> np.ndarray:
-    """Uniform draws mapped to indices 0..count-1 (truncating, like int())."""
-    return (u * count).astype(np.intp)
+def _cells(u: np.ndarray, count: int) -> np.ndarray:
+    """The cell 0..count-1 of each uniform among ``count`` equal cells.
+
+    Truncates like ``int()``.  The cast to int32 is several times faster
+    than to intp, and ``take`` accepts int32 indices as they are.
+    """
+    return (u * count).astype(np.int32)
 
 
 def simulate_rounds(
@@ -91,33 +121,39 @@ def simulate_rounds(
     draws, keyed by field name.
     """
     nb = len(tables.members)
-    ba, pos_a = _index(ua[:, 0], nb), _index(ua[:, 1], 4)
-    v = tables.members[ba, pos_a]
-    bb = _index(ub[:, 0], nb)
-    p_pos = tables.pos_table[v, bb]
+    ba = _cells(ua[:, 0], nb)
+    a = _cells(ua[:, 1], 4)
+    a += 4 * ba
+    v = tables.state.take(a)
+    bb = _cells(ub[:, 0], nb)
+    p_pos = tables.sift_pos.take(a * nb + bb)
     sifted = p_pos >= 0
 
     if adversary == "ball":
-        # Unsifted rounds index column -1 here; np.where discards them.
-        outcome = np.where(sifted, assign[bb, p_pos], _index(ue[:, 0], 4) + 1)
-        a_sym = np.where(sifted, assign[ba, pos_a], 0)
+        symbols = assign.ravel()
+        # Unsifted rounds read cell 4 bb - 1 here; np.where discards them.
+        outcome = np.where(sifted, symbols.take(4 * bb + p_pos),
+                           _cells(ue[:, 0], 4) + 1)
+        a_sym = np.where(sifted, symbols.take(a), 0)
     else:
         fwd = v
         if adversary == "intercept_resend":
-            eb = _index(ue[:, 0], nb)
-            eve = tables.outcome_table[v, eb, _index(ue[:, 1], PROB_DENOM)]
-            fwd = tables.members[eb, eve - 1]
-        outcome = tables.outcome_table[fwd, bb, _index(ub[:, 1], PROB_DENOM)]
+            cell = (v * nb + _cells(ue[:, 0], nb)) * PROB_DENOM
+            cell += _cells(ue[:, 1], PROB_DENOM)
+            fwd = tables.forward.take(cell)
+        cell = (fwd * nb + bb) * PROB_DENOM
+        cell += _cells(ub[:, 1], PROB_DENOM)
+        outcome = tables.outcome.take(cell)
         if noise.kind == "depolarizing":
-            outcome = np.where(un[:, 0] < noise.p, _index(un[:, 1], 4) + 1, outcome)
+            outcome = np.where(un[:, 0] < noise.p, _cells(un[:, 1], 4) + 1, outcome)
         a_sym = p_pos + 1  # p_pos is -1 exactly when the round is unsifted
 
     return {
-        "alice_basis": ba.astype(np.int32),
+        "alice_basis": ba,
         "alice_state": v,
-        "bob_basis": bb.astype(np.int32),
-        "bob_outcome": outcome.astype(np.int32),
+        "bob_basis": bb,
+        "bob_outcome": outcome,
         "sifted": sifted,
-        "alice_symbol": a_sym.astype(np.int32),
+        "alice_symbol": a_sym,
         "cross_basis": sifted & (bb != ba),
     }

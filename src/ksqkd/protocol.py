@@ -17,7 +17,11 @@ A session runs in chunks of ``CHUNK_ROUNDS`` rounds, so its memory does
 not grow with the round count beyond the two key strings.  Each chunk
 draws its next uniforms from the same five generators; consecutive
 ``random`` calls continue one stream, so the draws, and the report, are
-bit-for-bit those of one call over all rounds, at any chunk size.
+bit-for-bit those of one call over all rounds, at any chunk size.  A
+chunk is tallied by one count of its rounds' classes (sifted, check,
+cross-basis, error), from which every count of the report follows.  The
+chunk size, 2^14, keeps a chunk's working set (about 118 B per round)
+within a 2 MB L2 cache; 2^13 and 2^15 ran no faster.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ SECURE, INSECURE, INDETERMINATE = "SECURE", "INSECURE", "INDETERMINATE"
 STREAM_INDEX = {"alice": 0, "bob": 1, "noise": 2, "adversary": 3, "check": 4}
 
 # Rounds drawn, simulated and tallied at a time by run_session.
-CHUNK_ROUNDS = 1 << 15
+CHUNK_ROUNDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -208,26 +212,41 @@ class CheckStats:
             "cross": wilson_interval(self.errors_cross, self.n_cross),
         }
 
-    def __add__(self, other: CheckStats) -> CheckStats:
-        """The statistics of two disjoint sets of rounds taken together."""
-        return CheckStats(*(
-            getattr(self, f.name) + getattr(other, f.name) for f in fields(self)
-        ))
+
+def _tally(log: RoundLog) -> np.ndarray:
+    """Rounds per class, indexed [sifted, check, cross, error], in one count.
+
+    ``check`` and ``cross_basis`` count only on sifted rounds.  An error
+    is a round whose outcome differs from Alice's symbol; on a sifted
+    non-check round that is a key digit the keys disagree on.
+    """
+    sifted, check, cross = (
+        flag.view(np.uint8) for flag in (log.sifted, log.check, log.cross_basis)
+    )
+    code = 8 * sifted + 4 * check + 2 * cross + (log.bob_outcome != log.alice_symbol)
+    return np.bincount(code, minlength=16).reshape(2, 2, 2, 2)
+
+
+def _check_stats(counts: np.ndarray) -> CheckStats:
+    """The error statistics of a tally's sifted check rounds."""
+    (same_ok, same_err), (cross_ok, cross_err) = counts[1, 1].tolist()
+    return CheckStats(
+        n_checks=same_ok + same_err + cross_ok + cross_err,
+        n_same=same_ok + same_err,
+        n_cross=cross_ok + cross_err,
+        errors_overall=same_err + cross_err,
+        errors_same=same_err,
+        errors_cross=cross_err,
+    )
+
+
+def _agreed(counts: np.ndarray) -> int:
+    """Key digits, sifted non-check rounds, on which the two keys agree."""
+    return int(counts[1, 0, :, 0].sum())
 
 
 def estimate_error_stats(log: RoundLog) -> CheckStats:
-    checked = log.sifted & log.check
-    err = checked & (log.bob_outcome != log.alice_symbol)
-    same = checked & ~log.cross_basis
-    cross = checked & log.cross_basis
-    return CheckStats(
-        n_checks=int(checked.sum()),
-        n_same=int(same.sum()),
-        n_cross=int(cross.sum()),
-        errors_overall=int(err.sum()),
-        errors_same=int((err & same).sum()),
-        errors_cross=int((err & cross).sum()),
-    )
+    return _check_stats(_tally(log))
 
 
 @dataclass(frozen=True)
@@ -260,25 +279,23 @@ def certify(stats: CheckStats) -> Verdict:
     return Verdict(INSECURE if failed else SECURE, tuple(failed))
 
 
-def _digits(symbols: np.ndarray) -> str:
-    """Single-digit symbols (always 1..4 here) as one decimal string."""
-    return (symbols + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+def _keys(log: RoundLog) -> tuple[str, str]:
+    """Both key strings of a log's sifted non-check rounds, in round order.
 
-
-def _agreements(key_a: str, key_b: str) -> int:
-    """Positions at which two keys of the same length hold the same digit."""
-    a = np.frombuffer(key_a.encode("ascii"), dtype=np.uint8)
-    b = np.frombuffer(key_b.encode("ascii"), dtype=np.uint8)
-    return int(np.count_nonzero(a == b))
+    Symbols are single digits (always 1..4 here), so each key is one
+    decimal string.
+    """
+    keep = np.flatnonzero(log.sifted & ~log.check)
+    return tuple(
+        (column.take(keep) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+        for column in (log.alice_symbol, log.bob_outcome)
+    )
 
 
 def extract_key(log: RoundLog) -> tuple[str, str, float | None]:
     """Keys from sifted non-check rounds, in round order."""
-    keep = np.flatnonzero(log.sifted & ~log.check)
-    key_a = _digits(log.alice_symbol[keep])
-    key_b = _digits(log.bob_outcome[keep])
-    agreement = _agreements(key_a, key_b) / len(keep) if len(keep) else None
-    return key_a, key_b, agreement
+    key_a, key_b = _keys(log)
+    return key_a, key_b, _agreed(_tally(log)) / len(key_a) if key_a else None
 
 
 @dataclass
@@ -313,26 +330,24 @@ def report_from_log(config: SessionConfig, logs: Iterable[RoundLog]) -> SessionR
     Each log is tallied and then dropped, so ``logs`` may be a generator
     of chunks; only the key digits are kept.
     """
-    n = n_sifted = n_same = n_agree = 0
-    stats = CheckStats(0, 0, 0, 0, 0, 0)
+    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
     keys_a, keys_b = [], []
     for log in logs:
-        n += len(log)
-        n_sifted += int(log.sifted.sum())
-        n_same += int((log.sifted & ~log.cross_basis).sum())
-        stats += estimate_error_stats(log)
-        key_a, key_b, _ = extract_key(log)
+        counts += _tally(log)
+        key_a, key_b = _keys(log)
         keys_a.append(key_a)
         keys_b.append(key_b)
-        n_agree += _agreements(key_a, key_b)
+        del log  # freed before the generator simulates the next chunk
     key_alice, key_bob = "".join(keys_a), "".join(keys_b)
+    n, n_sifted = int(counts.sum()), int(counts[1].sum())
+    stats = _check_stats(counts)
     verdict = certify(stats)
     return SessionReport(
         config=config,
         rounds_total=n,
         rounds_sifted=n_sifted,
         sift_rate=n_sifted / n,
-        same_basis_rate=n_same / n,
+        same_basis_rate=int(counts[1, :, 0].sum()) / n,
         checks_used=stats.n_checks,
         w_overall=stats.w_overall,
         w_same=stats.w_same,
@@ -340,7 +355,7 @@ def report_from_log(config: SessionConfig, logs: Iterable[RoundLog]) -> SessionR
         certified=verdict.certified,
         key_alice=key_alice,
         key_bob=key_bob,
-        key_agreement_rate=n_agree / len(key_alice) if key_alice else None,
+        key_agreement_rate=_agreed(counts) / len(key_alice) if key_alice else None,
     )
 
 

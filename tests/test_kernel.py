@@ -40,6 +40,16 @@ def assert_logs_identical(got, want):
             assert a == b, f.name
 
 
+def assert_matches_reference(ks, assign, adv, noise, ua, ub, un, ue):
+    args = (assign, adv, noise, ua, ub, un, ue)
+    got = kernel.simulate_rounds(kernel.build_tables(ks), *args)
+    want = oracles.reference_round_columns(ks, *args)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+
 def test_tables_are_exact_sixteenths(ks18):
     t = kernel.build_tables(ks18)
     assert t.outcome_table.shape == (18, 9, 16)
@@ -98,18 +108,65 @@ def test_boundary_uniforms_match_reference(ks18, optimal_witness, adv, noise):
         ]),
         "ue": np.column_stack([pick(BOUNDARY_U), pick(BOUNDARY_U)]),
     }
-    tables = kernel.build_tables(ks18)
     assign = kernel.assignment_table(
         ks18, optimal_witness.witness if adv == "ball" else None
     )
-    args = (tables, assign, adv, noise,
-            draws["ua"], draws["ub"], draws["un"], draws["ue"])
-    got = kernel.simulate_rounds(*args)
-    want = oracles.reference_round_columns(ks18, *args[1:])
-    assert got.keys() == want.keys()
-    for name in want:
-        assert got[name].dtype == want[name].dtype, name
-        assert np.array_equal(got[name], want[name]), name
+    assert_matches_reference(ks18, assign, adv, noise,
+                             draws["ua"], draws["ub"], draws["un"], draws["ue"])
+
+
+def cells(count):
+    """The midpoint uniform of each of ``count`` equal cells of [0, 1)."""
+    return centre(np.arange(count), count)
+
+
+def every_cell(ua0, ua1, ub0, ub1, un0, un1, ue0, ue1):
+    """One round per combination of the given uniforms of each draw column.
+
+    Each argument lists the values its column takes; the rounds run over
+    their whole product.  Returns (ua, ub, un, ue).
+    """
+    cols = [c.ravel() for c in np.meshgrid(
+        ua0, ua1, ub0, ub1, un0, un1, ue0, ue1, indexing="ij")]
+    return tuple(np.column_stack(cols[i:i + 2]) for i in range(0, 8, 2))
+
+
+# The kernel reads each uniform only through floor(m u), m in {9, 4, 16},
+# and the noise draw only through `u < p`.  The midpoint of every cell
+# therefore feeds it every distinct round there is.
+P = 0.25
+NOISE_CELLS = np.array([P / 2, (1 + P) / 2])  # depolarized, clean
+MID = [0.5]  # a column the scenario never reads
+
+
+@pytest.mark.parametrize("adv,noise,columns", [
+    ("none", NoiseSpec(),
+     (cells(9), cells(4), cells(9), cells(16), MID, MID, MID, MID)),
+    ("none", NoiseSpec("depolarizing", P),
+     (cells(9), cells(4), cells(9), cells(16), NOISE_CELLS, cells(4), MID, MID)),
+    # The ball adversary reads no Born slot and ignores noise.
+    ("ball", NoiseSpec("depolarizing", P),
+     (cells(9), cells(4), cells(9), MID, NOISE_CELLS, cells(4), cells(4), MID)),
+    # Noise overrides Eve's forwarded state too; one Eve and Bob slot each.
+    ("intercept_resend", NoiseSpec("depolarizing", P),
+     (cells(9), cells(4), cells(9), [centre(7, 16)], NOISE_CELLS, cells(4),
+      cells(9), [centre(11, 16)])),
+], ids=["ideal", "noise", "ball", "intercept-noise"])
+def test_every_cell_matches_reference(ks18, optimal_witness, adv, noise, columns):
+    assign = kernel.assignment_table(
+        ks18, optimal_witness.witness if adv == "ball" else None
+    )
+    assert_matches_reference(ks18, assign, adv, noise, *every_cell(*columns))
+
+
+@pytest.mark.parametrize("alice_basis", range(9))
+def test_every_intercept_resend_cell_matches_reference(ks18, alice_basis):
+    # Every (Alice incidence, Eve basis, Eve slot, Bob basis, Bob slot):
+    # 36 x 9 x 16 x 9 x 16 rounds over the nine cases.
+    draws = every_cell([centre(alice_basis, 9)], cells(4), cells(9), cells(16),
+                       MID, MID, cells(9), cells(16))
+    assert_matches_reference(ks18, kernel.assignment_table(ks18, None),
+                             "intercept_resend", NoiseSpec(), *draws)
 
 
 def test_non_sixteenth_probability_rejected():

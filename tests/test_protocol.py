@@ -324,3 +324,19 @@ def test_memory_does_not_grow_with_rounds(ks18):
     small, small_keys = traced_peak(200_000)
     large, large_keys = traced_peak(800_000)
     assert large - small <= (large_keys - small_keys) + 2**20
+
+
+def test_chunk_working_set(ks18):
+    # One chunk holds its 72 B of uniforms and 31 B of log per round; the
+    # kernel's int32 cell indices and flat-table reads may add little
+    # beyond that.  An int64 temporary per round column would not fit.
+    tables = kernel.build_tables(ks18)
+    rounds = protocol.CHUNK_ROUNDS
+    run_session(intercept_noisy(1, 3), tables)  # imports numpy.random
+    tracemalloc.start()
+    try:
+        run_session(intercept_noisy(rounds, 3), tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / rounds < 128
