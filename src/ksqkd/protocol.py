@@ -19,9 +19,9 @@ draws its next uniforms from the same five generators; consecutive
 ``random`` calls continue one stream, so the draws, and the report, are
 bit-for-bit those of one call over all rounds, at any chunk size.  A
 chunk is tallied by one count of its rounds' classes (sifted, check,
-cross-basis, error), from which every count of the report follows.  The
-chunk size, 2^14, keeps a chunk's working set (about 118 B per round)
-within a 2 MB L2 cache; 2^13 and 2^15 ran no faster.
+cross-basis, error), from which every count of the report follows.  At
+2^14 rounds a chunk's working set, about 118 B per round, fits a 2 MB L2
+cache; on a 2-core x86_64 host 2^13 and 2^15 ran no faster end to end.
 """
 
 from __future__ import annotations
