@@ -7,7 +7,8 @@ Modules:
     adversary -- ball and intercept-resend specs, exact intercept-resend
                  rates, the 1/9 certification threshold
     protocol  -- session runs, error statistics, certification, key extraction
-    kernel    -- exact outcome tables and the vectorized NumPy round kernel
+    kernel    -- flat exact lookup tables and the vectorized NumPy round
+                 kernel, driven by the session's adversary and noise specs
     cli       -- verify / color / mismatch / analyze / simulate / sweep /
                  intercept commands
 """

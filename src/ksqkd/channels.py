@@ -28,4 +28,6 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability {self.p} outside [0, 1]")
+        if self.kind == "none" and self.p != 0:
+            raise ValueError(f"noise probability {self.p} needs a noise kind other than 'none'")
 

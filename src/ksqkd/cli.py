@@ -28,10 +28,12 @@ from .ksset import SetFormatError
 if TYPE_CHECKING:
     from .protocol import SessionConfig
 
-DEFAULTS = {"rounds": 100_000, "seed": 0, "check_fraction": 0.5}
+# The [session] keys, each with its type; a key the file leaves out takes
+# the SessionConfig default.
+_SESSION_KEYS = {"rounds": int, "seed": int, "check_fraction": float}
 
 _KNOWN_KEYS = {
-    "session": {"rounds", "seed", "check_fraction"},
+    "session": _SESSION_KEYS.keys(),
     "noise": {"kind", "p"},
     "adversary": {"kind", "ball_assignment"},
 }
@@ -61,21 +63,18 @@ def load_config(path: str | None, seed_override: int | None = None) -> SessionCo
                     raise ConfigError(f"unknown config key {section}.{key}")
                 raw[section][key] = value
     try:
-        sess = raw["session"]
-        rounds = int(sess.get("rounds", DEFAULTS["rounds"]))
-        seed = int(sess.get("seed", DEFAULTS["seed"]))
-        check_fraction = float(sess.get("check_fraction", DEFAULTS["check_fraction"]))
+        session = {
+            key: cast(raw["session"][key])
+            for key, cast in _SESSION_KEYS.items() if key in raw["session"]
+        }
         noise = NoiseSpec(
             kind=raw["noise"].get("kind", "none"),
             p=float(raw["noise"].get("p", 0.0)),
         )
         adv = _load_adversary(raw["adversary"])
         if seed_override is not None:
-            seed = seed_override
-        return SessionConfig(
-            rounds=rounds, seed=seed, check_fraction=check_fraction,
-            noise=noise, adversary=adv,
-        )
+            session["seed"] = seed_override
+        return SessionConfig(**session, noise=noise, adversary=adv)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

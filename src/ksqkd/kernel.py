@@ -15,6 +15,10 @@ reads every column with ``ndarray.take`` from a flat table that
 ``build_tables`` lays out once: Alice's state by her incidence
 ``a = 4 ba + pos``, Bob's sift position by ``(a, bb)``, Eve's forwarded
 ray by ``(v, eb, s)`` and Bob's outcome by ``(ray, bb, s)``.
+
+The kernel takes the session config's adversary and noise specs as they
+are; the ball branch reads the symbols of each incidence from the
+adversary's own labeling.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adversary import AdversarySpec
 from .channels import NoiseSpec
-from .ksset import KSSet, SymbolAssignment, born_table
+from .ksset import KSSet, born_table
 
 # Common denominator of every Born probability among KS18 rays/bases.
 PROB_DENOM = 16
@@ -32,21 +37,18 @@ PROB_DENOM = 16
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Integer lookup tables driving the round kernel, with their set.
+    """The flat integer tables ``simulate_rounds`` reads, with their set.
 
-    The first three are indexed by (ray, basis, s); the last four are
-    the flat tables ``simulate_rounds`` reads with ``ndarray.take``.
-    An incidence ``a = 4 ba + pos`` is Alice's (basis, position) pair.
+    An incidence ``a = 4 ba + pos`` is Alice's (basis, position) pair;
+    ``nv`` and ``nb`` count the set's vectors and bases.
     """
 
     ks: KSSet               # the set the tables were built from
-    pos_table: np.ndarray   # int32[nv, nb], -1 when vector not in basis
-    outcome_table: np.ndarray  # int8[nv, nb, 16], 1-based outcome per floor(16u)
-    members: np.ndarray     # int32[nb, 4]
     state: np.ndarray       # int32[4 nb], the ray of incidence a
-    sift_pos: np.ndarray    # int32[4 nb nb], pos_table[state[a], bb] at a nb + bb
+    sift_pos: np.ndarray    # int32[4 nb nb], Bob's position of state[a] in bb
+                            # at a nb + bb, -1 when the ray is not in bb
     forward: np.ndarray     # int32[nv nb 16], Eve's forwarded ray at (v nb + eb) 16 + s
-    outcome: np.ndarray     # int32[nv nb 16], outcome_table raveled
+    outcome: np.ndarray     # int32[nv nb 16], 1-based outcome at (v nb + b) 16 + s
 
 
 def build_tables(ks: KSSet) -> KernelTables:
@@ -56,12 +58,9 @@ def build_tables(ks: KSSet) -> KernelTables:
     which holds for the builtin set (amplitudes in {-1, 0, 1}).
     """
     nv, nb = len(ks.vectors), len(ks.bases)
+    members = np.array([b.members for b in ks.bases], dtype=np.int32)
     pos = np.full((nv, nb), -1, dtype=np.int32)
-    members = np.zeros((nb, 4), dtype=np.int32)
-    for bi, b in enumerate(ks.bases):
-        members[bi] = b.members
-        for p, vid in enumerate(b.members):
-            pos[vid, bi] = p
+    pos[members, np.arange(nb)[:, None]] = np.arange(4)
     den, num = born_table(ks)
     if PROB_DENOM % den:
         raise ValueError(
@@ -73,25 +72,17 @@ def build_tables(ks: KSSet) -> KernelTables:
     # The 1-based outcome for s is one more than the count of cumulative
     # numerators at or below s (the loop `while 16u >= cum[k]: k += 1`).
     s = np.arange(PROB_DENOM)[:, None]
-    outcome = (1 + (cum[:, :, None, :] <= s).sum(axis=-1)).astype(np.int8)
+    outcome = (1 + (cum[:, :, None, :] <= s).sum(axis=-1)).astype(np.int32)
     state = members.ravel()
     # Eve measuring ray v in basis eb forwards the member her outcome names.
     forward = members[np.arange(nb)[:, None], outcome - 1]
     return KernelTables(
-        ks, pos, outcome, members,
+        ks,
         state=state,
         sift_pos=pos[state].ravel(),
         forward=forward.ravel(),
-        outcome=outcome.ravel().astype(np.int32),
+        outcome=outcome.ravel(),
     )
-
-
-def assignment_table(ks: KSSet, assignment: SymbolAssignment | None) -> np.ndarray:
-    table = np.zeros((len(ks.bases), 4), dtype=np.int32)
-    if assignment is not None:
-        for bi, b in enumerate(ks.bases):
-            table[bi] = assignment.symbols[b.label]
-    return table
 
 
 def _cells(u: np.ndarray, count: int) -> np.ndarray:
@@ -105,22 +96,23 @@ def _cells(u: np.ndarray, count: int) -> np.ndarray:
 
 def simulate_rounds(
     tables: KernelTables,
-    assign: np.ndarray,
-    adversary: str,
+    adversary: AdversarySpec,
     noise: NoiseSpec,
     ua: np.ndarray, ub: np.ndarray, un: np.ndarray, ue: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Every round of a session from its uniform draws (float64[n, 2] each).
 
-    Column 0 of ``ua``/``ub`` picks Alice's and Bob's basis, column 1 of
-    ``ua`` Alice's state and column 1 of ``ub`` Bob's Born outcome.  The
-    ball adversary reads ``ue[:, 0]`` off-home and is unaffected by noise;
-    intercept-resend picks Eve's basis and outcome from ``ue``.  Otherwise
-    a depolarized round (``un[:, 0] < p``) reads a uniform symbol from
-    ``un[:, 1]``.  Returns the RoundLog columns that depend on these
-    draws, keyed by field name.
+    ``adversary`` and ``noise`` are the session config's specs.  Column 0
+    of ``ua``/``ub`` picks Alice's and Bob's basis, column 1 of ``ua``
+    Alice's state and column 1 of ``ub`` Bob's Born outcome.  The ball
+    adversary reads sifted rounds' symbols from its labeling and
+    ``ue[:, 0]`` off-home, and is unaffected by noise; intercept-resend
+    picks Eve's basis and outcome from ``ue``.  Otherwise a depolarized
+    round (``un[:, 0] < p``) reads a uniform symbol from ``un[:, 1]``.
+    Returns the RoundLog columns that depend on these draws, keyed by
+    field name.
     """
-    nb = len(tables.members)
+    nb = len(tables.ks.bases)
     ba = _cells(ua[:, 0], nb)
     a = _cells(ua[:, 1], 4)
     a += 4 * ba
@@ -129,15 +121,18 @@ def simulate_rounds(
     p_pos = tables.sift_pos.take(a * nb + bb)
     sifted = p_pos >= 0
 
-    if adversary == "ball":
-        symbols = assign.ravel()
+    if adversary.kind == "ball":
+        # symbols[4 bi + p]: the labeling's symbol at position p of basis bi.
+        labeling = adversary.ball_assignment.symbols
+        symbols = np.array([labeling[b.label] for b in tables.ks.bases],
+                           dtype=np.int32).ravel()
         # Unsifted rounds read cell 4 bb - 1 here; np.where discards them.
         outcome = np.where(sifted, symbols.take(4 * bb + p_pos),
                            _cells(ue[:, 0], 4) + 1)
         a_sym = np.where(sifted, symbols.take(a), 0)
     else:
         fwd = v
-        if adversary == "intercept_resend":
+        if adversary.kind == "intercept_resend":
             cell = (v * nb + _cells(ue[:, 0], nb)) * PROB_DENOM
             cell += _cells(ue[:, 1], PROB_DENOM)
             fwd = tables.forward.take(cell)

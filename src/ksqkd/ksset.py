@@ -73,12 +73,6 @@ class KSSet:
     # vector id -> ((basis label, position 0..3), ...)
     incidence: dict[int, tuple[tuple[str, int], ...]] = field(repr=False)
 
-    def basis(self, label: str) -> KSBasisDef:
-        for b in self.bases:
-            if b.label == label:
-                return b
-        raise KeyError(label)
-
 
 def build_set(basis_amps) -> KSSet:
     """Assemble a KSSet from (label, 4 integer amplitude tuples) pairs.
@@ -134,7 +128,11 @@ class VerificationReport:
 
 
 def verify_ks_structure(ks: KSSet) -> VerificationReport:
-    """Exact structural checks; failures are reported, never raised."""
+    """Exact structural checks; failures are reported, never raised.
+
+    Rays equal up to scale and sign are already one vector, merged by
+    :func:`build_set`.
+    """
     fails = []
     for b in ks.bases:
         for i, j in itertools.combinations(range(4), 2):
@@ -145,12 +143,6 @@ def verify_ks_structure(ks: KSSet) -> VerificationReport:
                     f"basis {b.label}: vectors {b.members[i]} and {b.members[j]} "
                     "not orthogonal"
                 )
-    seen = {}
-    for v in ks.vectors:
-        canon = canonical_int_amps(v.raw_amps)
-        if canon in seen:
-            fails.append(f"vectors {seen[canon]} and {v.id} are the same ray")
-        seen[canon] = v.id
     for v in ks.vectors:
         n = len({lab for lab, _ in ks.incidence[v.id]})
         if n != 2:
@@ -384,24 +376,18 @@ def min_symbol_mismatch(ks: KSSet) -> MismatchReport:
 # Exact outcome profiles and entanglement flags
 # ---------------------------------------------------------------------------
 
-def exact_basis_probs(ks: KSSet, vector_id: int, basis_label: str):
-    """Exact Born probabilities of a set vector in one of the set's bases."""
-    b = ks.basis(basis_label)
-    state = ks.vectors[vector_id].raw_amps
-    return qcore.exact_born(state, [ks.vectors[i].raw_amps for i in b.members])
-
-
 def born_table(ks: KSSet) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
     """Exact Born probabilities of every set vector in every set basis.
 
-    Returns ``(den, num)``: ``num[v][bi][k] / den`` is outcome ``k`` of
-    :func:`exact_basis_probs` of vector id ``v`` in ``ks.bases[bi]``, one
-    tuple per (vector, basis) pair, 162 for the builtin set.  ``den`` is
-    the least common denominator, 16 for the builtin set.
+    Returns ``(den, num)``: ``num[v][bi][k] / den`` is the
+    :func:`qcore.exact_born` probability of outcome ``k`` of vector id
+    ``v`` in ``ks.bases[bi]``, one tuple per (vector, basis) pair, 162 for
+    the builtin set.  ``den`` is the least common denominator, 16 for the
+    builtin set.
     """
-    probs = [
-        [exact_basis_probs(ks, v.id, b.label) for b in ks.bases] for v in ks.vectors
-    ]
+    amps = [v.raw_amps for v in ks.vectors]
+    bases = [[amps[i] for i in b.members] for b in ks.bases]
+    probs = [[qcore.exact_born(state, basis) for basis in bases] for state in amps]
     den = math.lcm(*(p.denominator for row in probs for ps in row for p in ps))
     num = tuple(
         tuple(tuple(int(p * den) for p in ps) for ps in row) for row in probs

@@ -115,16 +115,14 @@ def run_rounds(
     streams: dict[str, np.random.Generator] | None = None,
     start: int = 0,
     count: int | None = None,
-    assign: np.ndarray | None = None,
 ) -> RoundLog:
     """Simulate ``count`` rounds of a session, from round ``start`` on.
 
     ``tables`` are the kernel tables of the set to run on; without them
     the builtin set and its tables are built here.  ``streams`` are the
     session's substreams, standing at round ``start``; without them they
-    are made here at round 0.  ``assign`` is the ball adversary's
-    assignment table on those tables.  The defaults run every round of
-    the session.
+    are made here at round 0.  The defaults run every round of the
+    session.
     """
     if tables is None:
         tables = kernel.build_tables(ksset.builtin_ks18())
@@ -134,15 +132,13 @@ def run_rounds(
         streams = substreams(config.seed)
     if count is None:
         count = config.rounds - start
-    if assign is None:
-        assign = kernel.assignment_table(tables.ks, config.adversary.ball_assignment)
     ua = streams["alice"].random((count, 2))
     ub = streams["bob"].random((count, 2))
     un = streams["noise"].random((count, 2))
     ue = streams["adversary"].random((count, 2))
     uc = streams["check"].random(count)
     columns = kernel.simulate_rounds(
-        tables, assign, config.adversary.kind, config.noise, ua, ub, un, ue
+        tables, config.adversary, config.noise, ua, ub, un, ue
     )
     return RoundLog(
         index=np.arange(start, start + count, dtype=np.int64),
@@ -158,10 +154,9 @@ def iter_chunks(
     if tables is None:
         tables = kernel.build_tables(ksset.builtin_ks18())
     streams = substreams(config.seed)
-    assign = kernel.assignment_table(tables.ks, config.adversary.ball_assignment)
     for start in range(0, config.rounds, CHUNK_ROUNDS):
         count = min(CHUNK_ROUNDS, config.rounds - start)
-        yield run_rounds(config, tables, streams, start, count, assign)
+        yield run_rounds(config, tables, streams, start, count)
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:

@@ -258,13 +258,14 @@ def born_numerators(ks, vector_id, basis_index):
     return nums
 
 
-def reference_round_columns(ks, assign, adversary, noise, ua, ub, un, ue):
+def reference_round_columns(ks, adversary, noise, ua, ub, un, ue):
     """Per-round loop twin of ``kernel.simulate_rounds``.
 
     Reads the same draws and returns the same columns, but takes the set
     ``ks`` in place of the kernel's tables: it finds positions from the
-    set's basis members and searches cumulative Born numerators from
-    :func:`born_numerators` with the float comparison ``16 u >= c``,
+    set's basis members, reads ball symbols from the adversary's
+    assignment by basis label, and searches cumulative Born numerators
+    from :func:`born_numerators` with the float comparison ``16 u >= c``,
     round by round.
     """
     n = ua.shape[0]
@@ -278,7 +279,7 @@ def reference_round_columns(ks, assign, adversary, noise, ua, ub, un, ue):
         [list(itertools.accumulate(born_numerators(ks, v.id, bi))) for bi in range(nb)]
         for v in ks.vectors
     ]
-    asg_t = assign.tolist()
+    labels = [b.label for b in ks.bases]
     ua_t, ub_t, un_t, ue_t = ua.tolist(), ub.tolist(), un.tolist(), ue.tolist()
     depolarizing = noise.kind == "depolarizing"
     cols = {
@@ -306,16 +307,17 @@ def reference_round_columns(ks, assign, adversary, noise, ua, ub, un, ue):
         p_pos = pos_t[v][bb]
         sifted = p_pos >= 0
 
-        if adversary == "ball":
+        if adversary.kind == "ball":
+            symbols = adversary.ball_assignment.symbols
             if sifted:
-                outcome = asg_t[bb][p_pos]
-                a_sym = asg_t[ba][pos_a]
+                outcome = symbols[labels[bb]][p_pos]
+                a_sym = symbols[labels[ba]][pos_a]
             else:
                 outcome = int(ue_t[i][0] * 4) + 1
                 a_sym = 0
         else:
             fwd = v
-            if adversary == "intercept_resend":
+            if adversary.kind == "intercept_resend":
                 eb = int(ue_t[i][0] * nb)
                 fwd = mem_t[eb][search(cum_t[v][eb], ue_t[i][1])]
             if depolarizing and un_t[i][0] < noise.p:
@@ -336,19 +338,16 @@ def reference_round_columns(ks, assign, adversary, noise, ua, ub, un, ue):
 
 def reference_run_rounds(config, ks=None):
     """``protocol.run_rounds`` with the per-round loop in place of the kernel."""
-    from ksqkd import kernel, ksset, protocol
+    from ksqkd import ksset, protocol
 
     ks = ks or ksset.builtin_ks18()
-    assign = kernel.assignment_table(ks, config.adversary.ball_assignment)
     n = config.rounds
     ua, ub, un, ue = (
         protocol.substream(config.seed, name).random((n, 2))
         for name in ("alice", "bob", "noise", "adversary")
     )
     uc = protocol.substream(config.seed, "check").random(n)
-    cols = reference_round_columns(
-        ks, assign, config.adversary.kind, config.noise, ua, ub, un, ue
-    )
+    cols = reference_round_columns(ks, config.adversary, config.noise, ua, ub, un, ue)
     return protocol.RoundLog(
         index=np.arange(n, dtype=np.int64),
         check=cols["sifted"] & (uc < config.check_fraction),

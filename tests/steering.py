@@ -3,6 +3,7 @@
 import numpy as np
 
 from ksqkd import kernel
+from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
 
 
@@ -23,7 +24,7 @@ def sending(ks, vector_id):
 
 
 def steer(ks, ua0, ua1, ub0, ub1, un0=0.5, un1=0.5, ue0=0.5, ue1=0.5,
-          adversary="none", noise=NoiseSpec(), assignment=None):
+          adversary=AdversarySpec(), noise=NoiseSpec()):
     """Kernel columns for rounds whose draws are given column by column.
 
     Each argument broadcasts to the common round count: ``ua0``/``ub0``
@@ -36,6 +37,5 @@ def steer(ks, ua0, ua1, ub0, ub1, un0=0.5, un1=0.5, ue0=0.5, ue1=0.5,
     ))
     ua, ub, un, ue = (np.column_stack(cols[i:i + 2]) for i in range(0, 8, 2))
     return kernel.simulate_rounds(
-        kernel.build_tables(ks), kernel.assignment_table(ks, assignment),
-        adversary, noise, ua, ub, un, ue,
+        kernel.build_tables(ks), adversary, noise, ua, ub, un, ue
     )

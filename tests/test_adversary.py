@@ -39,7 +39,7 @@ def ball_round(ks, witness, alice, bob, readout_u=0.5):
     return steer(
         ks, centre(basis_index(ks, alice_label), 9), centre(pos, 4),
         centre(basis_index(ks, bob_label), 9), 0.5, ue0=readout_u,
-        adversary="ball", assignment=witness,
+        adversary=AdversarySpec("ball", witness),
     )
 
 
@@ -75,7 +75,7 @@ class TestBallAttackOutcome:
 
     def test_non_home_readout_uniform_and_unsifted(self, ks18, optimal_witness):
         # readout outside home bases is random but those rounds never sift
-        vid = ks18.basis("I").members[0]
+        vid = ks18.bases[basis_index(ks18, "I")].members[0]
         homes = {lab for lab, _ in ks18.incidence[vid]}
         other = next(b.label for b in ks18.bases if b.label not in homes)
         cols = ball_round(ks18, optimal_witness.witness, ("I", 0), other,
@@ -120,7 +120,8 @@ def intercept_rounds(ks, alice, eve_basis, bob_basis, eve_u, bob_u=0.5):
     alice_basis, alice_pos = alice
     return steer(
         ks, centre(alice_basis, 9), centre(alice_pos, 4), centre(bob_basis, 9),
-        bob_u, ue0=centre(eve_basis, 9), ue1=eve_u, adversary="intercept_resend",
+        bob_u, ue0=centre(eve_basis, 9), ue1=eve_u,
+        adversary=AdversarySpec("intercept_resend"),
     )
 
 
@@ -142,13 +143,13 @@ class TestInterceptResendTransform:
         # (1,0,0,0) in basis VIII lands on (1,0,1,0) or (1,0,-1,0), half
         # each; Bob measuring in VIII then reads which one Eve forwarded.
         alice = (basis_index(ks18, "I"), 0)
-        assert ks18.vectors[ks18.basis("I").members[0]].raw_amps == (1, 0, 0, 0)
+        assert ks18.vectors[ks18.bases[alice[0]].members[0]].raw_amps == (1, 0, 0, 0)
         viii = basis_index(ks18, "VIII")
         n = 4000
         rng = np.random.default_rng(4)
         cols = intercept_rounds(ks18, alice, viii, viii, rng.random(n), rng.random(n))
         outcome = cols["bob_outcome"]
-        targets = [pos + 1 for pos, vid in enumerate(ks18.basis("VIII").members)
+        targets = [pos + 1 for pos, vid in enumerate(ks18.bases[viii].members)
                    if ks18.vectors[vid].raw_amps in ((1, 0, 1, 0), (1, 0, -1, 0))]
         assert sorted(set(outcome.tolist())) == sorted(targets)
         assert abs((outcome == targets[0]).mean() - 0.5) <= 3 * math.sqrt(0.25 / n)
@@ -200,7 +201,8 @@ class TestExactInterceptResend:
                 probs = qcore.exact_born(raw[vid], amps)
                 assert probs == tuple(Fraction(int(k == pos)) for k in range(4))
                 for bob_label, bob_pos in ks18.incidence[vid]:
-                    bob = [raw[i] for i in ks18.basis(bob_label).members]
+                    bob_basis = ks18.bases[basis_index(ks18, bob_label)]
+                    bob = [raw[i] for i in bob_basis.members]
                     assert qcore.exact_born(amps[pos], bob)[bob_pos] == 1
 
     def test_monte_carlo_matches(self, ks18):

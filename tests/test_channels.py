@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ksqkd import ksset
 from ksqkd.channels import NoiseSpec
 from ksqkd.protocol import SessionConfig, run_rounds
 
+import oracles
 from oracles import analytic_w
-from steering import centre, sending, steer
+from steering import basis_index, centre, sending, steer
 
 
 class TestNoiseSpec:
@@ -48,7 +48,8 @@ class TestSampling:
 
     def test_none_kind_ignores_rand(self, ks18):
         assert not depolarized(ks18, NoiseSpec(), 0.0).any()
-        assert not depolarized(ks18, NoiseSpec("none", 0.5), 0.0).any()
+        with pytest.raises(ValueError, match="needs a noise kind"):
+            NoiseSpec("none", 0.5)
 
     def test_depolarized_fraction(self, ks18):
         spec = NoiseSpec("depolarizing", 0.4)
@@ -109,8 +110,8 @@ class TestSamplingDensityAgreement:
         """Kernel outcomes follow the diagonal (1-p) P_Born + p/4 of the
         depolarized state, here (1,1,1,1) measured in basis I."""
         spec = NoiseSpec("depolarizing", 0.3)
-        born = ksset.exact_basis_probs(ks18, 4, "I")
-        expect = [(1 - spec.p) * float(pb) + spec.p / 4 for pb in born]
+        born = oracles.born_numerators(ks18, 4, basis_index(ks18, "I"))
+        expect = [(1 - spec.p) * n / 16 + spec.p / 4 for n in born]
 
         n = 200_000
         rng = np.random.default_rng(8)

@@ -98,6 +98,7 @@ BAD_CASES = {
             ("missing-assignment", BAD / "assignment.ini"),
             ("unknown-section", BAD / "section.ini"),
             ("missing", MISSING / "config.ini"),
+            ("noise-without-kind", BAD / "noise.ini"),
         )
     },
     **{

@@ -40,8 +40,15 @@ def assert_logs_identical(got, want):
             assert a == b, f.name
 
 
-def assert_matches_reference(ks, assign, adv, noise, ua, ub, un, ue):
-    args = (assign, adv, noise, ua, ub, un, ue)
+def spec(adv, optimal_witness):
+    """The adversary of kind ``adv``, with the optimal labeling for a ball."""
+    if adv == "ball":
+        return AdversarySpec("ball", optimal_witness.witness)
+    return AdversarySpec(adv)
+
+
+def assert_matches_reference(ks, adv, noise, ua, ub, un, ue):
+    args = (adv, noise, ua, ub, un, ue)
     got = kernel.simulate_rounds(kernel.build_tables(ks), *args)
     want = oracles.reference_round_columns(ks, *args)
     assert got.keys() == want.keys()
@@ -52,32 +59,38 @@ def assert_matches_reference(ks, assign, adv, noise, ua, ub, un, ue):
 
 def test_tables_are_exact_sixteenths(ks18):
     t = kernel.build_tables(ks18)
-    assert t.outcome_table.shape == (18, 9, 16)
-    assert t.outcome_table.dtype == np.int8
-    assert (np.diff(t.outcome_table, axis=2) >= 0).all()
-    # Outcome k + 1 fills exactly 16 * p_k of the sixteen slots, with p_k
+    assert t.outcome.shape == (18 * 9 * 16,)
+    assert t.outcome.dtype == np.int32
+    outcome = t.outcome.reshape(18, 9, 16)
+    assert (np.diff(outcome, axis=2) >= 0).all()
+    # Outcome k + 1 fills exactly 16 p_k of the sixteen slots, with p_k
     # the exact Born probability.
     for v in ks18.vectors:
-        for bi, b in enumerate(ks18.bases):
-            counts = np.bincount(t.outcome_table[v.id, bi], minlength=5)[1:]
-            probs = ksset.exact_basis_probs(ks18, v.id, b.label)
-            assert counts.tolist() == [16 * p for p in probs], (v.id, b.label)
+        for bi in range(9):
+            counts = np.bincount(outcome[v.id, bi], minlength=5)[1:]
+            want = oracles.born_numerators(ks18, v.id, bi)
+            assert counts.tolist() == want, (v.id, bi)
 
 
 def test_positions_consistent_with_members(ks18):
     t = kernel.build_tables(ks18)
-    for bi in range(9):
-        for pos in range(4):
-            assert t.pos_table[t.members[bi, pos], bi] == pos
-    assert (t.pos_table >= 0).sum() == 36
+    # Incidence a = 4 ba + pos sends member pos of basis ba, and Bob's
+    # position of that ray in basis bb is its index there, or -1.
+    members = [b.members for b in ks18.bases]
+    assert t.state.tolist() == [v for m in members for v in m]
+    sift_pos = t.sift_pos.reshape(36, 9)
+    for a, v in enumerate(t.state.tolist()):
+        for bb, m in enumerate(members):
+            assert sift_pos[a, bb] == (m.index(v) if v in m else -1)
+    # Every ray lies in exactly two bases.
+    assert (sift_pos >= 0).sum() == 36 * 2
 
 
 @pytest.mark.parametrize("seed", [7, 123])
 @pytest.mark.parametrize("adv,noise", SCENARIOS)
 def test_matches_reference_loop(optimal_witness, adv, noise, seed):
-    spec = (AdversarySpec("ball", optimal_witness.witness) if adv == "ball"
-            else AdversarySpec(adv))
-    cfg = SessionConfig(rounds=50_000, seed=seed, noise=noise, adversary=spec)
+    cfg = SessionConfig(rounds=50_000, seed=seed, noise=noise,
+                        adversary=spec(adv, optimal_witness))
     assert_logs_identical(run_rounds(cfg), oracles.reference_run_rounds(cfg))
 
 
@@ -108,10 +121,7 @@ def test_boundary_uniforms_match_reference(ks18, optimal_witness, adv, noise):
         ]),
         "ue": np.column_stack([pick(BOUNDARY_U), pick(BOUNDARY_U)]),
     }
-    assign = kernel.assignment_table(
-        ks18, optimal_witness.witness if adv == "ball" else None
-    )
-    assert_matches_reference(ks18, assign, adv, noise,
+    assert_matches_reference(ks18, spec(adv, optimal_witness), noise,
                              draws["ua"], draws["ub"], draws["un"], draws["ue"])
 
 
@@ -153,10 +163,8 @@ MID = [0.5]  # a column the scenario never reads
       cells(9), [centre(11, 16)])),
 ], ids=["ideal", "noise", "ball", "intercept-noise"])
 def test_every_cell_matches_reference(ks18, optimal_witness, adv, noise, columns):
-    assign = kernel.assignment_table(
-        ks18, optimal_witness.witness if adv == "ball" else None
-    )
-    assert_matches_reference(ks18, assign, adv, noise, *every_cell(*columns))
+    assert_matches_reference(ks18, spec(adv, optimal_witness), noise,
+                             *every_cell(*columns))
 
 
 @pytest.mark.parametrize("alice_basis", range(9))
@@ -165,8 +173,8 @@ def test_every_intercept_resend_cell_matches_reference(ks18, alice_basis):
     # 36 x 9 x 16 x 9 x 16 rounds over the nine cases.
     draws = every_cell([centre(alice_basis, 9)], cells(4), cells(9), cells(16),
                        MID, MID, cells(9), cells(16))
-    assert_matches_reference(ks18, kernel.assignment_table(ks18, None),
-                             "intercept_resend", NoiseSpec(), *draws)
+    assert_matches_reference(ks18, AdversarySpec("intercept_resend"), NoiseSpec(),
+                             *draws)
 
 
 def test_non_sixteenth_probability_rejected():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ksqkd import kernel, ksset, qcore
+from ksqkd import kernel, qcore
+from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
 from ksqkd.qcore import (
     ZeroVectorError,
@@ -14,6 +15,7 @@ from ksqkd.qcore import (
     exact_overlap_sq,
 )
 
+import oracles
 from steering import basis_index, centre, sending, steer
 
 F = Fraction
@@ -26,8 +28,16 @@ SMALL_VECTORS = [
 
 def slot_counts(tables, vector_id, bi):
     """How many of the sixteen outcome-table slots read each outcome."""
-    return tuple(np.bincount(tables.outcome_table[vector_id, bi],
-                             minlength=5)[1:].tolist())
+    nv, nb = len(tables.ks.vectors), len(tables.ks.bases)
+    slots = tables.outcome.reshape(nv, nb, 16)[vector_id, bi]
+    return tuple(np.bincount(slots, minlength=5)[1:].tolist())
+
+
+def born(ks, vector_id, label):
+    """Exact Born probabilities of a set vector in the basis ``label``."""
+    basis = ks.bases[basis_index(ks, label)]
+    return qcore.exact_born(ks.vectors[vector_id].raw_amps,
+                            [ks.vectors[i].raw_amps for i in basis.members])
 
 
 class TestNormalize:
@@ -106,7 +116,7 @@ class TestBornProbabilities:
     """Exact Born probabilities, and the outcome table the kernel samples."""
 
     def check(self, ks, vector_id, label, expect):
-        probs = ksset.exact_basis_probs(ks, vector_id, label)
+        probs = born(ks, vector_id, label)
         assert probs == expect
         tables = kernel.build_tables(ks)
         counts = slot_counts(tables, vector_id, basis_index(ks, label))
@@ -124,19 +134,16 @@ class TestBornProbabilities:
         self.check(ks18, 4, "I", (F(1, 4), F(1, 4), F(1, 2), F(0)))
 
     def test_sums_to_one_all_pairs(self, ks18):
-        tables = kernel.build_tables(ks18)
         for v in ks18.vectors:
-            for bi, b in enumerate(ks18.bases):
-                probs = ksset.exact_basis_probs(ks18, v.id, b.label)
+            for b in ks18.bases:
+                probs = born(ks18, v.id, b.label)
                 assert sum(probs) == 1
                 assert all(0 <= p <= 1 for p in probs)
-                # Outcome k + 1 fills exactly 16 * p_k of the sixteen slots.
-                assert slot_counts(tables, v.id, bi) == tuple(16 * p for p in probs)
 
     def test_exact_denominators_divide_16(self, ks18):
         for v in ks18.vectors:
             for b in ks18.bases:
-                for pr in ksset.exact_basis_probs(ks18, v.id, b.label):
+                for pr in born(ks18, v.id, b.label):
                     assert 16 % pr.denominator == 0
 
 
@@ -158,13 +165,13 @@ class TestSampling:
     def test_scalar_matches_vectorized(self, ks18):
         # A round's outcome depends on its own draws only, not on the batch.
         tables = kernel.build_tables(ks18)
-        assign = kernel.assignment_table(ks18, None)
+        eve = AdversarySpec("intercept_resend")
         rng = np.random.default_rng(5)
         ua, ub, un, ue = rng.random((4, 300, 2))
-        batch = kernel.simulate_rounds(tables, assign, "intercept_resend",
-                                       NoiseSpec(), ua, ub, un, ue)["bob_outcome"]
+        batch = kernel.simulate_rounds(tables, eve, NoiseSpec(),
+                                       ua, ub, un, ue)["bob_outcome"]
         single = [
-            kernel.simulate_rounds(tables, assign, "intercept_resend", NoiseSpec(),
+            kernel.simulate_rounds(tables, eve, NoiseSpec(),
                                    ua[i:i + 1], ub[i:i + 1], un[i:i + 1],
                                    ue[i:i + 1])["bob_outcome"][0]
             for i in range(300)
@@ -192,8 +199,7 @@ class TestSampling:
             outcomes = steer(ks18, *sending(ks18, v.id), centre(bob_basis, nb),
                              rng.random(nb * n))["bob_outcome"].reshape(nb, n)
             for bi, b in enumerate(ks18.bases):
-                p = np.array([float(x) for x in
-                              ksset.exact_basis_probs(ks18, v.id, b.label)])
+                p = np.array(oracles.born_numerators(ks18, v.id, bi)) / 16
                 counts = np.bincount(outcomes[bi], minlength=5)[1:]
                 live = p > 0
                 assert counts[~live].sum() == 0
