@@ -19,8 +19,8 @@ the exact intercept-resend rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ksset import KSSet, SymbolAssignment, born_table
 
@@ -32,16 +32,21 @@ ADVERSARY_KINDS = ("none", "ball", "intercept_resend")
 W_THRESHOLD = Fraction(1, 9)
 
 
-@dataclass(frozen=True)
-class AdversarySpec:
+class _AdversarySpecFields(NamedTuple):
     kind: str = "none"
     ball_assignment: SymbolAssignment | None = None
 
-    def __post_init__(self):
+
+class AdversarySpec(_AdversarySpecFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if self.kind == "ball" and self.ball_assignment is None:
             raise ValueError("ball adversary requires a symbol assignment")
+        return self
 
 
 def exact_intercept_resend_w(ks: KSSet) -> tuple[Fraction, Fraction, Fraction]:

@@ -13,21 +13,25 @@ depolarizing noise w = 3p/4 and the transmission fidelity is F = 1 - w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 NOISE_KINDS = ("none", "depolarizing")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class _NoiseSpecFields(NamedTuple):
     kind: str = "none"
     p: float = 0.0
 
-    def __post_init__(self):
+
+class NoiseSpec(_NoiseSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability {self.p} outside [0, 1]")
         if self.kind == "none" and self.p != 0:
             raise ValueError(f"noise probability {self.p} needs a noise kind other than 'none'")
-
+        return self

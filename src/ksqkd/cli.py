@@ -12,7 +12,6 @@ raises ``ConfigError`` for bad input; only ``main`` catches it, printing
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 from pathlib import Path
@@ -24,7 +23,8 @@ from .channels import NoiseSpec
 from .ksset import SetFormatError
 
 # `protocol` imports NumPy, which only the commands that run rounds
-# (simulate, sweep) need; the exact commands never load it.
+# (simulate, sweep) need; the exact commands never load it.  Only
+# `simulate` reads a config, so `configparser` is imported there too.
 if TYPE_CHECKING:
     from .protocol import SessionConfig
 
@@ -45,6 +45,8 @@ class ConfigError(ValueError):
 
 def load_config(path: str | None, seed_override: int | None = None) -> SessionConfig:
     """Parse the INI-style session config; unknown keys are rejected."""
+    import configparser
+
     from .protocol import SessionConfig
 
     raw = {"session": {}, "noise": {}, "adversary": {}}
@@ -82,7 +84,12 @@ def load_config(path: str | None, seed_override: int | None = None) -> SessionCo
 def _load_adversary(section: dict) -> AdversarySpec:
     kind = section.get("kind", "none")
     if kind != "ball":
-        return AdversarySpec(kind=kind)
+        spec = AdversarySpec(kind=kind)
+        if "ball_assignment" in section:
+            raise ConfigError(
+                f"ball_assignment needs adversary kind 'ball', not {kind!r}"
+            )
+        return spec
     source = section.get("ball_assignment", "optimal")
     ks = ksset.builtin_ks18()
     if source == "optimal":

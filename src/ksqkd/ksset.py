@@ -20,8 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import qcore
 from .qcore import canonical_int_amps
@@ -54,24 +54,21 @@ class SetFormatError(ValueError):
     """Raised for malformed set / assignment files."""
 
 
-@dataclass(frozen=True)
-class KSVector:
+class KSVector(NamedTuple):
     id: int
     raw_amps: tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class KSBasisDef:
+class KSBasisDef(NamedTuple):
     label: str
     members: tuple[int, int, int, int]  # vector ids in outcome order
 
 
-@dataclass(frozen=True)
-class KSSet:
+class KSSet(NamedTuple):
     vectors: tuple[KSVector, ...]
     bases: tuple[KSBasisDef, ...]
     # vector id -> ((basis label, position 0..3), ...)
-    incidence: dict[int, tuple[tuple[str, int], ...]] = field(repr=False)
+    incidence: dict[int, tuple[tuple[str, int], ...]]
 
 
 def build_set(basis_amps) -> KSSet:
@@ -113,8 +110,7 @@ def builtin_ks18() -> KSSet:
 # Structure verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     failures: list[str]
 
     @property
@@ -233,8 +229,7 @@ COLORING_LIST_LIMIT = 100
 _PICKS = tuple(tuple(1 if p == q else 2 for p in range(4)) for q in range(4))
 
 
-@dataclass
-class ColoringResult:
+class ColoringResult(NamedTuple):
     count: int
     colorings: list[tuple[int, ...]]  # selected vector ids per basis, if few
 
@@ -268,16 +263,21 @@ def enumerate_valid_colorings(ks: KSSet) -> ColoringResult:
 # Symbol assignments and the mismatch minimum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolAssignment:
-    """Per-basis bijection from outcome positions to symbols 1..4."""
-
+class _SymbolAssignmentFields(NamedTuple):
     symbols: dict[str, tuple[int, int, int, int]]  # basis label -> symbols
 
-    def __post_init__(self):
+
+class SymbolAssignment(_SymbolAssignmentFields):
+    """Per-basis bijection from outcome positions to symbols 1..4."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for lab, syms in self.symbols.items():
             if sorted(syms) != [1, 2, 3, 4]:
                 raise ValueError(f"basis {lab}: symbols {syms} not a bijection")
+        return self
 
     def vector_symbols(self, ks: KSSet, vector_id: int) -> tuple[int, ...]:
         """The symbols a vector receives in each of its home bases."""
@@ -296,8 +296,7 @@ def defective_vectors(ks: KSSet, assignment: SymbolAssignment) -> list[int]:
     return bad
 
 
-@dataclass
-class MismatchReport:
+class MismatchReport(NamedTuple):
     mismatch_count: int
     defective_vector_ids: list[int]
     witness: SymbolAssignment
@@ -382,7 +381,7 @@ def born_table(ks: KSSet) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]
     Returns ``(den, num)``: ``num[v][bi][k] / den`` is the
     :func:`qcore.exact_born` probability of outcome ``k`` of vector id
     ``v`` in ``ks.bases[bi]``, one tuple per (vector, basis) pair, 162 for
-    the builtin set.  ``den`` is the least common denominator, 16 for the
+    the builtin set.  ``den`` is the least common denominator, 4 for the
     builtin set.
     """
     amps = [v.raw_amps for v in ks.vectors]
@@ -390,13 +389,13 @@ def born_table(ks: KSSet) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]
     probs = [[qcore.exact_born(state, basis) for basis in bases] for state in amps]
     den = math.lcm(*(p.denominator for row in probs for ps in row for p in ps))
     num = tuple(
-        tuple(tuple(int(p * den) for p in ps) for ps in row) for row in probs
+        tuple(tuple(p.numerator * (den // p.denominator) for p in ps) for ps in row)
+        for row in probs
     )
     return den, num
 
 
-@dataclass
-class ProfileEntry:
+class ProfileEntry(NamedTuple):
     vector_id: int
     basis_label: str
     probabilities: tuple[Fraction, ...]  # in outcome order
@@ -406,8 +405,7 @@ class ProfileEntry:
         return tuple(sorted(self.probabilities))
 
 
-@dataclass
-class ProfileReport:
+class ProfileReport(NamedTuple):
     entries: list[ProfileEntry]
     violations: list[ProfileEntry]
 

@@ -9,6 +9,7 @@ tolerance.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -18,16 +19,20 @@ class ZeroVectorError(ValueError):
 
 def exact_inner(u, v) -> int:
     """Real dot product of two integer amplitude tuples."""
-    return sum(int(a) * int(b) for a, b in zip(u, v))
+    return sum(map(operator.mul, map(int, u), map(int, v)))
+
+
+def _overlap_sq_pair(u, v, nv: int) -> tuple[int, int]:
+    """|<u|v>|^2 as the integer pair ((u.v)^2, |u|^2 |v|^2), given |v|^2."""
+    d = exact_inner(u, u) * nv
+    if d == 0:
+        raise ZeroVectorError("zero vector in exact overlap")
+    return exact_inner(u, v) ** 2, d
 
 
 def exact_overlap_sq(u, v) -> Fraction:
     """|<u|v>|^2 for integer amplitude tuples, after exact normalization."""
-    nu = exact_inner(u, u)
-    nv = exact_inner(v, v)
-    if nu == 0 or nv == 0:
-        raise ZeroVectorError("zero vector in exact overlap")
-    return Fraction(exact_inner(u, v) ** 2, nu * nv)
+    return Fraction(*_overlap_sq_pair(u, v, exact_inner(v, v)))
 
 
 def exact_born(state, basis_amps) -> tuple[Fraction, ...]:
@@ -35,18 +40,25 @@ def exact_born(state, basis_amps) -> tuple[Fraction, ...]:
 
     `basis_amps` is a sequence of four integer amplitude tuples that must
     be pairwise orthogonal, so that the probabilities sum to exactly 1.
+    Each probability (b.s)^2 / (|b|^2 |s|^2) is held as an integer pair,
+    and the sum is decided over the pairs' least common denominator, so
+    only the returned probabilities are Fractions.
 
     Raises:
+        ZeroVectorError: when the state or a basis vector is zero.
         ValueError: when the probabilities do not sum to 1, i.e. the basis
             is not complete and orthogonal in exact arithmetic.
     """
-    probs = tuple(exact_overlap_sq(b, state) for b in basis_amps)
-    if sum(probs) != 1:
+    ns = exact_inner(state, state)
+    pairs = [_overlap_sq_pair(b, state, ns) for b in basis_amps]
+    lcd = math.lcm(*(d for _, d in pairs))
+    total = sum(n * (lcd // d) for n, d in pairs)
+    if total != lcd:
         raise ValueError(
             f"basis not complete/orthogonal in exact arithmetic: "
-            f"probabilities of {tuple(state)} sum to {sum(probs)}"
+            f"probabilities of {tuple(state)} sum to {Fraction(total, lcd)}"
         )
-    return probs
+    return tuple(Fraction(n, d) for n, d in pairs)
 
 
 def exact_entanglement_det(amps) -> int:

@@ -8,7 +8,7 @@ stderr, with the checkout path written as ``<checkout>``.  The files are
 written once from a trusted tree with
 ``PYTHONPATH=src python tests/test_golden.py`` and only compared
 afterwards.  The commands that need only exact arithmetic must give the
-same output with NumPy unimportable.
+same output with NumPy and ``dataclasses`` unimportable.
 """
 
 import contextlib
@@ -99,6 +99,7 @@ BAD_CASES = {
             ("unknown-section", BAD / "section.ini"),
             ("missing", MISSING / "config.ini"),
             ("noise-without-kind", BAD / "noise.ini"),
+            ("assignment-without-ball", BAD / "assignment-without-ball.ini"),
         )
     },
     **{
@@ -133,10 +134,12 @@ def test_bad_input_matches_golden(name):
     assert run_bad_input(BAD_CASES[name]) == golden[name]
 
 
-# Runs the CLI in a fresh interpreter in which `import numpy` fails.
+# Runs the CLI in a fresh interpreter in which `import numpy` and
+# `import dataclasses` fail.
 NO_NUMPY = """\
 import sys
 sys.modules["numpy"] = None
+sys.modules["dataclasses"] = None
 from ksqkd.cli import main
 sys.exit(main(sys.argv[1:]))
 """

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ksqkd import kernel, qcore
+from ksqkd import kernel, ksset, qcore
 from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
 from ksqkd.qcore import (
@@ -233,6 +233,25 @@ class TestExactHelpers:
         assert sum(probs) == 1
         assert probs == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(0))
 
+    def test_exact_born_unequal_norms(self):
+        # Squared norms 4, 2, 2 and 9: the completeness check runs over the
+        # least common denominator of 16, 8, 8 and 36.
+        basis = ((2, 0, 0, 0), (0, 1, 1, 0), (0, 1, -1, 0), (0, 0, 0, 3))
+        assert qcore.exact_born((1, 1, 1, 1), basis) == (F(1, 4), F(1, 2), F(0), F(1, 4))
+
+    def test_incomplete_basis_rejected(self):
+        basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 1))
+        with pytest.raises(ValueError, match="orthogonal.* sum to 1/2$"):
+            qcore.exact_born((1, 1, 1, -1), basis)
+
+    def test_born_table_matches_oracle(self, ks18):
+        den, num = ksset.born_table(ks18)
+        assert den == 4  # every builtin probability is a multiple of 1/4
+        assert [[[n * 4 for n in ps] for ps in row] for row in num] == [
+            [oracles.born_numerators(ks18, v.id, bi) for bi in range(len(ks18.bases))]
+            for v in ks18.vectors
+        ]
+
     def test_orthogonal_basis_required(self):
         with pytest.raises(ValueError, match="orthogonal"):
             qcore.exact_born((1, 0, 0, 0), [(1, 0, 0, 0)] * 4)
@@ -247,3 +266,5 @@ class TestExactHelpers:
             exact_overlap_sq((0, 0, 0, 0), (1, 0, 0, 0))
         with pytest.raises(ZeroVectorError):
             exact_overlap_sq((1, 0, 0, 0), (0, 0, 0, 0))
+        with pytest.raises(ZeroVectorError):
+            qcore.exact_born((0, 0, 0, 0), [(1, 0, 0, 0)] * 4)
