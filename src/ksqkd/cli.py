@@ -28,14 +28,12 @@ from .ksset import SetFormatError
 if TYPE_CHECKING:
     from .protocol import SessionConfig
 
-# The [session] keys, each with its type; a key the file leaves out takes
-# the SessionConfig default.
-_SESSION_KEYS = {"rounds": int, "seed": int, "check_fraction": float}
-
-_KNOWN_KEYS = {
-    "session": _SESSION_KEYS.keys(),
-    "noise": {"kind", "p"},
-    "adversary": {"kind", "ball_assignment"},
+# Every config key by section, each with its type; a key the file leaves
+# out takes the default of the record it configures.
+_KEYS = {
+    "session": {"rounds": int, "seed": int, "check_fraction": float},
+    "noise": {"kind": str, "p": float},
+    "adversary": {"kind": str, "ball_assignment": str},
 }
 
 
@@ -49,31 +47,31 @@ def load_config(path: str | None, seed_override: int | None = None) -> SessionCo
 
     from .protocol import SessionConfig
 
-    raw = {"session": {}, "noise": {}, "adversary": {}}
+    raw = {section: {} for section in _KEYS}
     if path is not None:
-        parser = configparser.ConfigParser()
+        # Values are literal: no `%` interpolation.
+        parser = configparser.ConfigParser(interpolation=None)
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
         except (OSError, UnicodeDecodeError, configparser.Error) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for section in parser.sections():
-            if section not in _KNOWN_KEYS:
+            if section not in _KEYS:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, value in parser.items(section):
-                if key not in _KNOWN_KEYS[section]:
+                if key not in _KEYS[section]:
                     raise ConfigError(f"unknown config key {section}.{key}")
                 raw[section][key] = value
     try:
-        session = {
-            key: cast(raw["session"][key])
-            for key, cast in _SESSION_KEYS.items() if key in raw["session"]
+        typed = {
+            section: {key: cast(raw[section][key])
+                      for key, cast in keys.items() if key in raw[section]}
+            for section, keys in _KEYS.items()
         }
-        noise = NoiseSpec(
-            kind=raw["noise"].get("kind", "none"),
-            p=float(raw["noise"].get("p", 0.0)),
-        )
-        adv = _load_adversary(raw["adversary"])
+        session = typed["session"]
+        noise = NoiseSpec(**typed["noise"])
+        adv = _load_adversary(typed["adversary"])
         if seed_override is not None:
             session["seed"] = seed_override
         return SessionConfig(**session, noise=noise, adversary=adv)
@@ -96,7 +94,7 @@ def _load_adversary(section: dict) -> AdversarySpec:
         assignment = ksset.min_symbol_mismatch(ks).witness
     else:
         try:
-            text = Path(source).read_text()
+            text = Path(source).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read ball_assignment {source}: {exc}") from exc
         assignment = ksset.parse_assignment_file(text, ks)
@@ -108,7 +106,7 @@ def _load_set(path: str | None):
     if path is None:
         return ksset.builtin_ks18()
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read set {path}: {exc}") from exc
     try:
@@ -123,7 +121,7 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(out_path).write_text(text)
+        Path(out_path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
@@ -198,14 +196,8 @@ def cmd_simulate(args) -> int:
     return 0 if report.certified else 1
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_cell(value: float | None) -> str:
+    return "" if value is None else repr(value)
 
 
 def cmd_sweep(args) -> int:

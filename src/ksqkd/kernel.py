@@ -1,16 +1,18 @@
 """Integer lookup tables and the vectorized NumPy round kernel.
 
-The protocol only ever measures KS rays in KS bases, so every Born
-probability is an exact multiple of 1/16 and each cumulative Born
-numerator is an integer.  An outcome drawn by inverse CDF from a uniform
-``u`` is therefore fixed by ``s = floor(16 u)`` alone: ``16 u >= c``
-holds exactly when ``s >= c`` for integer ``c``.  ``build_tables``
-precomputes the outcome for every (ray, basis, s), and the kernel reads
-each round's outcomes with one gather instead of a per-round search.
+The protocol only ever measures set rays in set bases, so every Born
+probability is an exact multiple of ``1/den``, with ``den`` the least
+common denominator of ``ksset.born_table`` (4 for the builtin set), and
+each cumulative Born numerator is an integer.  An outcome drawn by
+inverse CDF from a uniform ``u`` is therefore fixed by
+``s = floor(den u)`` alone: ``den u >= c`` holds exactly when ``s >= c``
+for integer ``c``.  ``build_tables`` precomputes the outcome for every
+(ray, basis, s), and the kernel reads each round's outcomes with one
+gather instead of a per-round search.
 
 Every uniform is read only through its cell ``floor(m u)``, computed
-once per column as int32 (m is 9, 4 or 16).  Each round quantity is a
-table entry at an integer combination of those cells, so the kernel
+once per column as int32 (m is 9, 4 or ``den``).  Each round quantity is
+a table entry at an integer combination of those cells, so the kernel
 reads every column with ``ndarray.take`` from a flat table that
 ``build_tables`` lays out once: Alice's state by her incidence
 ``a = 4 ba + pos``, Bob's sift position by ``(a, bb)``, Eve's forwarded
@@ -31,53 +33,48 @@ from .adversary import AdversarySpec
 from .channels import NoiseSpec
 from .ksset import KSSet, born_table
 
-# Common denominator of every Born probability among KS18 rays/bases.
-PROB_DENOM = 16
-
 
 @dataclass(frozen=True)
 class KernelTables:
     """The flat integer tables ``simulate_rounds`` reads, with their set.
 
     An incidence ``a = 4 ba + pos`` is Alice's (basis, position) pair;
-    ``nv`` and ``nb`` count the set's vectors and bases.
+    ``nv`` and ``nb`` count the set's vectors and bases, and ``den`` is
+    the least common denominator of the set's Born probabilities.
     """
 
     ks: KSSet               # the set the tables were built from
+    den: int                # Born slots per (ray, basis): 4 for the builtin set
     state: np.ndarray       # int32[4 nb], the ray of incidence a
     sift_pos: np.ndarray    # int32[4 nb nb], Bob's position of state[a] in bb
                             # at a nb + bb, -1 when the ray is not in bb
-    forward: np.ndarray     # int32[nv nb 16], Eve's forwarded ray at (v nb + eb) 16 + s
-    outcome: np.ndarray     # int32[nv nb 16], 1-based outcome at (v nb + b) 16 + s
+    forward: np.ndarray     # int32[nv nb den], Eve's forwarded ray at (v nb + eb) den + s
+    outcome: np.ndarray     # int32[nv nb den], 1-based outcome at (v nb + b) den + s
 
 
 def build_tables(ks: KSSet) -> KernelTables:
     """Precompute exact positions and the outcome for every (ray, basis, s).
 
-    Requires every in-set Born probability to be a multiple of 1/16,
-    which holds for the builtin set (amplitudes in {-1, 0, 1}).
+    The slots ``s = 0 .. den - 1`` are the cells of ``born_table``'s own
+    common denominator, so every cumulative Born numerator is a slot
+    boundary for any set whose bases are orthogonal.
     """
     nv, nb = len(ks.vectors), len(ks.bases)
     members = np.array([b.members for b in ks.bases], dtype=np.int32)
     pos = np.full((nv, nb), -1, dtype=np.int32)
     pos[members, np.arange(nb)[:, None]] = np.arange(4)
     den, num = born_table(ks)
-    if PROB_DENOM % den:
-        raise ValueError(
-            f"Born probabilities with denominator {den} are not multiples "
-            f"of 1/{PROB_DENOM}"
-        )
     cum = np.cumsum(np.array(num), axis=-1)
-    cum *= PROB_DENOM // den
     # The 1-based outcome for s is one more than the count of cumulative
-    # numerators at or below s (the loop `while 16u >= cum[k]: k += 1`).
-    s = np.arange(PROB_DENOM)[:, None]
+    # numerators at or below s (the loop `while den u >= cum[k]: k += 1`).
+    s = np.arange(den)[:, None]
     outcome = (1 + (cum[:, :, None, :] <= s).sum(axis=-1)).astype(np.int32)
     state = members.ravel()
     # Eve measuring ray v in basis eb forwards the member her outcome names.
     forward = members[np.arange(nb)[:, None], outcome - 1]
     return KernelTables(
         ks,
+        den=den,
         state=state,
         sift_pos=pos[state].ravel(),
         forward=forward.ravel(),
@@ -112,7 +109,7 @@ def simulate_rounds(
     Returns the RoundLog columns that depend on these draws, keyed by
     field name.
     """
-    nb = len(tables.ks.bases)
+    nb, den = len(tables.ks.bases), tables.den
     ba = _cells(ua[:, 0], nb)
     a = _cells(ua[:, 1], 4)
     a += 4 * ba
@@ -133,11 +130,11 @@ def simulate_rounds(
     else:
         fwd = v
         if adversary.kind == "intercept_resend":
-            cell = (v * nb + _cells(ue[:, 0], nb)) * PROB_DENOM
-            cell += _cells(ue[:, 1], PROB_DENOM)
+            cell = (v * nb + _cells(ue[:, 0], nb)) * den
+            cell += _cells(ue[:, 1], den)
             fwd = tables.forward.take(cell)
-        cell = (fwd * nb + bb) * PROB_DENOM
-        cell += _cells(ub[:, 1], PROB_DENOM)
+        cell = (fwd * nb + bb) * den
+        cell += _cells(ub[:, 1], den)
         outcome = tables.outcome.take(cell)
         if noise.kind == "depolarizing":
             outcome = np.where(un[:, 0] < noise.p, _cells(un[:, 1], 4) + 1, outcome)

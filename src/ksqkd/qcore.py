@@ -14,25 +14,12 @@ from fractions import Fraction
 
 
 class ZeroVectorError(ValueError):
-    """Raised when an overlap or a canonical form meets a zero vector."""
+    """Raised when a Born probability or a canonical form meets a zero vector."""
 
 
 def exact_inner(u, v) -> int:
     """Real dot product of two integer amplitude tuples."""
     return sum(map(operator.mul, map(int, u), map(int, v)))
-
-
-def _overlap_sq_pair(u, v, nv: int) -> tuple[int, int]:
-    """|<u|v>|^2 as the integer pair ((u.v)^2, |u|^2 |v|^2), given |v|^2."""
-    d = exact_inner(u, u) * nv
-    if d == 0:
-        raise ZeroVectorError("zero vector in exact overlap")
-    return exact_inner(u, v) ** 2, d
-
-
-def exact_overlap_sq(u, v) -> Fraction:
-    """|<u|v>|^2 for integer amplitude tuples, after exact normalization."""
-    return Fraction(*_overlap_sq_pair(u, v, exact_inner(v, v)))
 
 
 def exact_born(state, basis_amps) -> tuple[Fraction, ...]:
@@ -50,7 +37,9 @@ def exact_born(state, basis_amps) -> tuple[Fraction, ...]:
             is not complete and orthogonal in exact arithmetic.
     """
     ns = exact_inner(state, state)
-    pairs = [_overlap_sq_pair(b, state, ns) for b in basis_amps]
+    pairs = [(exact_inner(b, state) ** 2, exact_inner(b, b) * ns) for b in basis_amps]
+    if not all(d for _, d in pairs):
+        raise ZeroVectorError("zero vector in exact overlap")
     lcd = math.lcm(*(d for _, d in pairs))
     total = sum(n * (lcd // d) for n, d in pairs)
     if total != lcd:

@@ -3,13 +3,13 @@
 These deliberately take different routes than the implementation under
 test: bit-level enumeration for colorings, a vectorized product scan for
 the symbol-mismatch minimum and its lexicographically smallest witness, a
-graph-coloring formulation for the minimum, closed forms for the ball
-attack's and the depolarizing channel's error rates, a nested Fraction
-enumeration of the intercept-resend rates that calls ``qcore.exact_born``
-itself instead of reading ``ksset.born_table``, and, for
-the vectorized round kernel, a per-round Python loop that searches Born
-numerators it derives itself from the set's integer amplitudes, with no
-use of the kernel's tables.
+graph-coloring formulation for the minimum, a direct squared overlap for
+ray equality, closed forms for the ball attack's and the depolarizing
+channel's error rates, a nested Fraction enumeration of the
+intercept-resend rates that calls ``qcore.exact_born`` itself instead of
+reading ``ksset.born_table``, and, for the vectorized round kernel, a
+per-round Python loop that searches Born numerators it derives itself
+from the set's integer amplitudes, with no use of the kernel's tables.
 """
 
 import itertools
@@ -234,6 +234,16 @@ def analytic_w(spec):
         return 0.0, 1.0
     w = 0.75 * spec.p
     return w, 1.0 - w
+
+
+def exact_overlap_sq(u, v):
+    """|<u|v>|^2 of two integer amplitude tuples, as an exact Fraction.
+
+    Computes (u.v)^2 / (|u|^2 |v|^2) directly, with no package code.
+    """
+    dot = sum(int(x) * int(y) for x, y in zip(u, v))
+    norms = sum(int(x) ** 2 for x in u) * sum(int(y) ** 2 for y in v)
+    return Fraction(dot * dot, norms)
 
 
 def born_numerators(ks, vector_id, basis_index):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -329,6 +332,49 @@ class TestUnwritableOut:
         assert main([*argv, "--out", str(target)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: cannot write {target}")
+
+
+class TestLocale:
+    """Input files are UTF-8 whatever the locale's encoding."""
+
+    # A C locale without UTF-8 coercion or mode: the locale encoding is ASCII.
+    ENV = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    COMMENT = "# Kochen\u2013Specker\n"
+
+    def run_in_c_locale(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, **self.ENV,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run([sys.executable, "-m", "ksqkd.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    def test_set_file_with_non_ascii_comment(self, tmp_path, ks18_text):
+        p = tmp_path / "ks18.ks"
+        p.write_text(self.COMMENT + ks18_text, encoding="utf-8")
+        proc = self.run_in_c_locale("verify", "--set", str(p))
+        assert proc.stderr == ""
+        assert proc.returncode == 0 and "OK" in proc.stdout
+
+    def test_config_and_assignment_with_non_ascii_comments(self, tmp_path, optimal_witness):
+        a = tmp_path / "a.txt"
+        a.write_text(self.COMMENT + "".join(
+            f"basis {lab}: {' '.join(map(str, syms))}\n"
+            for lab, syms in optimal_witness.witness.symbols.items()
+        ), encoding="utf-8")
+        p = tmp_path / "c.ini"
+        p.write_text(self.COMMENT + "[session]\nrounds = 1000\n"
+                     f"[adversary]\nkind = ball\nball_assignment = {a}\n",
+                     encoding="utf-8")
+        out = tmp_path / "report.json"
+        proc = self.run_in_c_locale("simulate", "--config", str(p), "--out", str(out))
+        assert proc.stderr == ""
+        assert proc.returncode == 0
+        config = json.loads(out.read_text(encoding="utf-8"))["config"]
+        assert config["rounds"] == 1000
+        assert config["adversary"]["ball_assignment"] == {
+            lab: list(syms) for lab, syms in optimal_witness.witness.symbols.items()
+        }
 
 
 class TestIntercept:

@@ -100,6 +100,7 @@ BAD_CASES = {
             ("missing", MISSING / "config.ini"),
             ("noise-without-kind", BAD / "noise.ini"),
             ("assignment-without-ball", BAD / "assignment-without-ball.ini"),
+            ("percent", BAD / "percent.ini"),  # a literal `%`, not interpolation
         )
     },
     **{

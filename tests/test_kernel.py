@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ksqkd import kernel, ksset
+from ksqkd import kernel, ksset, qcore
 from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
 from ksqkd.protocol import SessionConfig, run_rounds
@@ -59,17 +59,17 @@ def assert_matches_reference(ks, adv, noise, ua, ub, un, ue):
 
 def test_tables_are_exact_sixteenths(ks18):
     t = kernel.build_tables(ks18)
-    assert t.outcome.shape == (18 * 9 * 16,)
+    assert t.outcome.shape == (18 * 9 * t.den,)
     assert t.outcome.dtype == np.int32
-    outcome = t.outcome.reshape(18, 9, 16)
+    outcome = t.outcome.reshape(18, 9, t.den)
     assert (np.diff(outcome, axis=2) >= 0).all()
-    # Outcome k + 1 fills exactly 16 p_k of the sixteen slots, with p_k
-    # the exact Born probability.
+    # Outcome k + 1 fills exactly den p_k of the den slots, with p_k the
+    # exact Born probability, here read as sixteenths from the oracle.
     for v in ks18.vectors:
         for bi in range(9):
             counts = np.bincount(outcome[v.id, bi], minlength=5)[1:]
             want = oracles.born_numerators(ks18, v.id, bi)
-            assert counts.tolist() == want, (v.id, bi)
+            assert (counts * (16 // t.den)).tolist() == want, (v.id, bi)
 
 
 def test_positions_consistent_with_members(ks18):
@@ -177,15 +177,26 @@ def test_every_intercept_resend_cell_matches_reference(ks18, alice_basis):
                              *draws)
 
 
-def test_non_sixteenth_probability_rejected():
-    # a valid orthonormal basis whose overlaps with (1,1,1,0)-style rays
-    # produce denominators other than 16
+def test_tables_use_the_sets_own_denominator(ks18):
+    t = kernel.build_tables(ks18)
+    assert t.den == 4
+    assert t.outcome.size == t.forward.size == 18 * 9 * 4
+    # Overlaps with (1,1,1,0)-style rays have denominators 3 and 6, so
+    # this set's Born grid is sixths; every slot count is exact there.
     odd = ksset.build_set((
         ("A", ((1, 1, 1, 0), (1, -1, 0, 0), (1, 1, -2, 0), (0, 0, 0, 1))),
         ("B", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
     ))
-    with pytest.raises(ValueError):
-        kernel.build_tables(odd)
+    t = kernel.build_tables(odd)
+    assert t.den == 6
+    nv, nb = len(odd.vectors), len(odd.bases)
+    outcome = t.outcome.reshape(nv, nb, t.den)
+    for v in odd.vectors:
+        for bi, b in enumerate(odd.bases):
+            probs = qcore.exact_born(
+                v.raw_amps, [odd.vectors[i].raw_amps for i in b.members])
+            counts = np.bincount(outcome[v.id, bi], minlength=5)[1:]
+            assert counts.tolist() == [t.den * p for p in probs], (v.id, bi)
 
 
 def test_non_orthogonal_basis_rejected():
