@@ -49,8 +49,10 @@ def load_config(path: str | None, seed_override: int | None = None) -> SessionCo
 
     raw = {section: {} for section in _KEYS}
     if path is not None:
-        # Values are literal: no `%` interpolation.
-        parser = configparser.ConfigParser(interpolation=None)
+        # Values are literal: no `%` interpolation.  No header can name
+        # the default section "", so `[DEFAULT]` is an ordinary section and
+        # is rejected as unknown, not applied to every other section.
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)

@@ -150,34 +150,78 @@ def verify_ks_structure(ks: KSSet) -> VerificationReport:
 # The labeling walk
 # ---------------------------------------------------------------------------
 
-def _walk(ks: KSSet, order, choices, bound: int, leaf) -> list[tuple[int, ...]] | None:
+def _walk(ks: KSSet, order, choices, bounds, leaf) -> tuple[int, list] | None:
     """Depth-first search over per-basis labelings with few defective vectors.
 
     A labeling gives each of a basis's four positions a symbol; a vector
     is defective when two of its positions, in one basis or in two, carry
     different symbols.  Depth k labels basis ``order[k]`` with each
     labeling of ``choices[k]`` in turn, and a branch is cut as soon as its
-    defect count exceeds ``bound``, so leaves are reached in lexicographic
+    defect count exceeds the bound, so leaves are reached in lexicographic
     order of the choice indices.  Each leaf's labelings, one per depth, go
-    to ``leaf``; the walk stops when ``leaf`` returns True and returns
-    that leaf's labelings, or returns None once every leaf is visited.
+    to ``leaf``.  The walk runs at each bound of ``bounds`` in turn and
+    stops at the first leaf for which ``leaf`` returns True, returning
+    that bound and the leaf's labelings, or returns None once every leaf
+    at every bound is visited.
+
+    A forward bound cuts a branch sooner: once its defects plus those that
+    later depths are already forced to add exceed the bound.  Take a later
+    depth j whose labelings are all bijections, and the vectors that still
+    hold a symbol and are next read at j.  A bijection gives each symbol
+    to one position only, so c of those vectors sharing a symbol leave at
+    least c - 1 of them defective at j.  Each vector counts at its next
+    read only, and a defective one (say, split by the basis that labels
+    it) not at all, so the bound never exceeds the defects still to come
+    and the walk stays exact.  A depth whose labelings are not all
+    bijections, as in the coloring walk, adds nothing to the bound.
     """
-    # Per depth: the (position, id) pairs of vectors labeled at an earlier
-    # depth and of those labeled here, each at its first position in the
-    # basis, and each labeling with the vectors it splits (gives two
-    # positions of one basis different symbols) and those of them new here.
-    steps, seen = [], set()
-    for i, labelings in zip(order, choices):
-        members = ks.bases[i].members
-        firsts = [(p, v) for p, v in enumerate(members) if v not in members[:p]]
-        new = [(p, v) for p, v in firsts if v not in seen]
-        splits = []
-        for lab in labelings:
-            split = {v for p, v in enumerate(members)
-                     if lab[p] != lab[members.index(v)]}
-            splits.append((lab, split, [v for _, v in new if v in split]))
-        steps.append(([(p, v) for p, v in firsts if v in seen], new, splits))
-        seen.update(members)
+    bases = [ks.bases[i].members for i in order]
+    # The depths that read each vector, at its first position in the basis.
+    reads: dict[int, list[int]] = {}
+    for k, members in enumerate(bases):
+        for v in dict.fromkeys(members):
+            reads.setdefault(v, []).append(k)
+    # Forward bound data.  A vector read at depth k with symbol s, whose
+    # next read j is at an all-bijection depth, owes bit j * width + s
+    # until it is read there; ``owe[k][v]`` is j * width.
+    bijective = [all(len(set(lab)) == len(lab) for lab in labs) for labs in choices]
+    width = 1 + max(max(lab) for labs in choices for lab in labs)
+    owe: list[dict[int, int]] = [{} for _ in bases]
+    for v, at in reads.items():
+        for k, j in zip(at, at[1:]):
+            if bijective[j]:
+                owe[k][v] = j * width
+    # Per depth: the vectors labeled at an earlier depth, with the offsets
+    # they owe below it, and per labeling the symbol it gives each of them
+    # (0 where it splits one, giving two positions of one basis different
+    # symbols), the label writes of the new vectors, and the bits those
+    # owe.  Then, as bit masks over the labelings, ``agree[i][s]``: those
+    # giving old vector i symbol s, and per new vector, those splitting it.
+    steps = []
+    for k, (members, labelings) in enumerate(zip(bases, choices)):
+        old = [v for v in dict.fromkeys(members) if reads[v][0] < k]
+        new = [v for v in dict.fromkeys(members) if reads[v][0] == k]
+        agree = [[0] * width for _ in old]
+        splits = dict.fromkeys(new, 0)
+        table = []
+        for t, lab in enumerate(labelings):
+            given = dict(zip(members, lab))
+            if len(given) < len(members):
+                given.update((v, 0) for v, s in zip(members, lab) if given[v] != s)
+            for row, v in zip(agree, old):
+                row[given[v]] |= 1 << t
+            for v in new:
+                if not given[v]:
+                    splits[v] |= 1 << t
+            table.append((
+                lab,
+                tuple([given[v] for v in old]),
+                [(v, given[v]) for v in new],
+                [owe[k][v] + given[v] for v in new if v in owe[k] and given[v]],
+            ))
+        steps.append((old, [owe[k].get(v, 0) for v in old], table, agree,
+                       [m for m in splits.values() if m]))
+    band = (1 << width) - 1
     # Symbol from a vector's first basis, 0 once the vector is defective.
     # A vector is written at its first depth and read only below it, so
     # only the defect marks need undoing on the way back up.
@@ -186,36 +230,73 @@ def _walk(ks: KSSet, order, choices, bound: int, leaf) -> list[tuple[int, ...]] 
 
     @functools.cache
     def options(k: int, need: tuple[int, ...], slack: int):
-        """Depth k's labelings, each with the vectors it newly makes defective."""
-        old, _, splits = steps[k]
+        """Depth k's labelings that add at most ``slack`` defects.
+
+        Each comes with the number of vectors it newly makes defective,
+        the label writes that apply it and those that undo it, the bits
+        its own vectors owe below k, and its cost: its new defects plus
+        those that its owed bits force among themselves.
+        """
+        old, offsets, table, agree, splits = steps[k]
+        # Each mask marks the labelings that charge one defect: those that
+        # give an old vector still holding a symbol any other (0 when they
+        # split it), and those that split a new vector.  Summed bitwise for
+        # all labelings at once, bit t of over[c] is set when labeling t
+        # charges more than c.
+        every = (1 << len(table)) - 1
+        over = [0] * (slack + 1)
+        for miss in [every ^ row[s] for row, s in zip(agree, need) if s] + splits:
+            for c in range(slack, 0, -1):
+                over[c] |= over[c - 1] & miss
+            over[0] |= miss
+        fit = every & ~over[slack]
         out = []
-        for lab, split, new_split in splits:
-            bad = new_split + [
-                v for (p, v), s in zip(old, need) if s and (v in split or lab[p] != s)
-            ]
-            if len(bad) <= slack:
-                out.append((lab, bad))
+        while fit:
+            t = (fit & -fit).bit_length() - 1
+            fit &= fit - 1
+            lab, want, writes, owed = table[t]
+            undo = [(v, s) for v, s, w in zip(old, need, want) if s != w and s]
+            bad = len(undo) + [s for _, s in writes].count(0)
+            owed = owed + [o + s for o, s, w in zip(offsets, need, want)
+                           if o and s == w and s]
+            keys = sum(1 << b for b in set(owed))
+            out.append((lab, bad, writes + [(v, 0) for v, _ in undo], undo,
+                        keys, bad + len(owed) - keys.bit_count()))
         return out
 
-    def walk(k: int, slack: int) -> bool:
+    def walk(k: int, slack: int, owed: int, clashes: int) -> bool:
+        """Walk depth k and below with ``slack`` defects left to spend.
+
+        ``owed`` has the bits owed at depth k and below set, and
+        ``clashes`` counts the defects those bits force among themselves.
+        """
         if k == len(steps):
             return leaf(chosen)
-        old, new, _ = steps[k]
-        for lab, bad in options(k, tuple(labels[v] for _, v in old), slack):
-            for p, v in new:
-                labels[v] = lab[p]
-            saved = [labels[v] for v in bad]
-            for v in bad:
-                labels[v] = 0
+        need = tuple([labels[v] for v in steps[k][0]])
+        if bijective[k]:
+            # The vectors read here that still hold a symbol pay their
+            # clashes in this depth's defects.  Their bits may stay set in
+            # ``owed``: every bit owed from here on is for a later depth.
+            here = owed & band << k * width
+            clashes -= len(need) - need.count(0) - here.bit_count()
+        for lab, bad, writes, undo, keys, cost in options(k, need, slack):
+            forced = cost + clashes + (keys & owed).bit_count()
+            if forced > slack:
+                continue
+            for v, s in writes:
+                labels[v] = s
             chosen.append(lab)
-            if walk(k + 1, slack - len(bad)):
+            if walk(k + 1, slack - bad, owed | keys, forced - bad):
                 return True
             chosen.pop()
-            for v, s in zip(bad, saved):
+            for v, s in undo:
                 labels[v] = s
         return False
 
-    return chosen if walk(0, bound) else None
+    for bound in bounds:
+        if walk(0, bound, 0, 0):
+            return bound, chosen
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +336,7 @@ def enumerate_valid_colorings(ks: KSSet) -> ColoringResult:
             found.append(tuple(m[lab.index(1)] for m, lab in zip(members, labels)))
         return False
 
-    _walk(ks, range(len(ks.bases)), [_PICKS] * len(ks.bases), 0, leaf)
+    _walk(ks, range(len(ks.bases)), [_PICKS] * len(ks.bases), [0], leaf)
     return ColoringResult(count, found if count <= COLORING_LIST_LIMIT else [])
 
 
@@ -356,11 +437,9 @@ def min_symbol_mismatch(ks: KSSet) -> MismatchReport:
     come first, and the witness is deterministic.
     """
     choices = [_PERMS[:1]] + [_PERMS] * (len(ks.bases) - 1)
-    order = _search_order(ks)
-    best = 0
-    while _walk(ks, order, choices, best, lambda labels: True) is None:
-        best += 1
-    perms = _walk(ks, range(len(ks.bases)), choices, best, lambda labels: True)
+    best, _ = _walk(ks, _search_order(ks), choices, itertools.count(),
+                    lambda labels: True)
+    _, perms = _walk(ks, range(len(ks.bases)), choices, [best], lambda labels: True)
     witness = SymbolAssignment({b.label: p for b, p in zip(ks.bases, perms)})
     bad = defective_vectors(ks, witness)
     # Re-derive the count from the witness itself as a consistency check.

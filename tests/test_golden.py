@@ -97,6 +97,7 @@ BAD_CASES = {
             ("bad-rounds", BAD / "rounds.ini"),
             ("missing-assignment", BAD / "assignment.ini"),
             ("unknown-section", BAD / "section.ini"),
+            ("default", BAD / "default.ini"),  # not a section of defaults
             ("missing", MISSING / "config.ini"),
             ("noise-without-kind", BAD / "noise.ini"),
             ("assignment-without-ball", BAD / "assignment-without-ball.ini"),

@@ -247,6 +247,26 @@ class TestMinMismatch:
         assert rep.mismatch_count == oracles.naive_min_mismatch(ks) == 1
         assert rep.witness.symbols == oracles.lex_min_witness(ks)
 
+    def test_random_structures_match_oracles(self):
+        # The forward bound of the labeling walk must cut no branch that
+        # holds an optimum or a coloring: rays in one to four bases, bases
+        # holding a ray twice.  The rays (1, i, i^2, i^3) are distinct but
+        # not orthogonal; neither search reads amplitudes.
+        rng = random.Random(11)
+        for _ in range(300):
+            rays = [(1, i, i * i, i ** 3) for i in range(rng.randint(4, 10))]
+            draw = rng.choices if rng.random() < 0.5 else rng.sample
+            ks = build_set(
+                [(f"B{b}", tuple(draw(rays, k=4))) for b in range(rng.randint(2, 4))]
+            )
+            rep = min_symbol_mismatch(ks)
+            assert rep.mismatch_count == oracles.naive_min_mismatch(ks)
+            assert rep.witness.symbols == oracles.lex_min_witness(ks)
+            assert (
+                enumerate_valid_colorings(ks).count
+                == oracles.brute_force_coloring_count(ks)
+            )
+
     def test_minimum_independent_of_parity_bound(self, monkeypatch):
         # The search proves the minimum on its own, so the parity bound
         # can be checked against it.
