@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -302,6 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No command calls a BLAS routine, yet OpenBLAS starts a pool of worker
+    # threads as NumPy loads, which costs about 65 ms of start-up.  A value
+    # the caller set wins.  Reconsider this line if a command ever uses BLAS.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

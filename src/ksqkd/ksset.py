@@ -293,10 +293,15 @@ def _walk(ks: KSSet, order, choices, bounds, leaf) -> tuple[int, list] | None:
                 labels[v] = s
         return False
 
-    for bound in bounds:
-        if walk(0, bound, 0, 0):
-            return bound, chosen
-    return None
+    try:
+        for bound in bounds:
+            if walk(0, bound, 0, 0):
+                return bound, chosen
+        return None
+    finally:
+        # ``walk`` holds itself through its closure cell; unbinding it lets
+        # the walk's tables go on return, not at the next cyclic collection.
+        del walk
 
 
 # ---------------------------------------------------------------------------

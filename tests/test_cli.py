@@ -53,10 +53,12 @@ class TestLoadConfig:
         cfg = load_config(str(p))
         assert cfg.rounds == 50_000 and cfg.noise.p == 0.25
 
-    def test_seed_override(self, tmp_path):
+    # 0 is a seed like any other, not "no override".
+    @pytest.mark.parametrize("seed", [42, 0])
+    def test_seed_override(self, tmp_path, seed):
         p = tmp_path / "c.ini"
         p.write_text(NOISE_CONFIG)
-        assert load_config(str(p), seed_override=42).seed == 42
+        assert load_config(str(p), seed_override=seed).seed == seed
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -160,6 +162,11 @@ class TestAnalyze:
         assert len(doc["defective_ids"]) == 2
         assert doc["profiles_ok"] is True
         assert doc["entangled_count"] == 6
+
+    def test_failed_expectation_exits_1(self, run, monkeypatch):
+        monkeypatch.setattr(ksset, "parity_lower_bound", lambda ks: 3)
+        code, out = run("analyze")
+        assert code == 1 and json.loads(out)["parity_bound"] == 3
 
 
 class TestColorMismatch:
@@ -375,6 +382,42 @@ class TestLocale:
         assert config["adversary"]["ball_assignment"] == {
             lab: list(syms) for lab, syms in optimal_witness.witness.symbols.items()
         }
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+class TestBlasThreads:
+    """No command calls BLAS, so the CLI starts NumPy with one BLAS thread."""
+
+    CHILD = (
+        "import os, sys\n"
+        "from ksqkd import cli\n"
+        "code = cli.main(['simulate', '--config', sys.argv[1], '--out', os.devnull])\n"
+        "print(code, len(os.listdir('/proc/self/task')),"
+        " os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+
+    def run_simulate(self, tmp_path, **blas_env):
+        """Exit code, thread count and OPENBLAS_NUM_THREADS of a child
+        that ran `simulate` with only `blas_env` of the BLAS variable."""
+        config = tmp_path / "c.ini"
+        config.write_text("[session]\nrounds = 1000\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        env.update(blas_env)
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, str(config)],
+                              capture_output=True, text=True, env=env)
+        assert proc.stderr == ""
+        return proc.stdout.split()
+
+    def test_one_thread_by_default(self, tmp_path):
+        assert self.run_simulate(tmp_path) == ["0", "1", "1"]
+
+    def test_caller_value_kept(self, tmp_path):
+        code, _, value = self.run_simulate(tmp_path, OPENBLAS_NUM_THREADS="2")
+        assert (code, value) == ("0", "2")
 
 
 class TestIntercept:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -92,6 +94,17 @@ class TestVerify:
             "vector 0 appears in 1 bases, expected 2",
             "vector 1 appears in 1 bases, expected 2",
             "vector 2 appears in 1 bases, expected 2",
+        ]
+
+    def test_ray_in_three_bases_fails(self):
+        # A tenth basis, the standard one, puts its rays in a third basis.
+        standard = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+        ks = build_set(ksset.KS18_BASES + (("X", standard),))
+        assert verify_ks_structure(ks).failures == [
+            "vector 0 appears in 3 bases, expected 2",
+            "vector 1 appears in 3 bases, expected 2",
+            "vector 17 appears in 3 bases, expected 2",
+            "vector 18 appears in 1 bases, expected 2",
         ]
 
 
@@ -274,6 +287,45 @@ class TestMinMismatch:
         rep = min_symbol_mismatch(builtin_ks18())
         assert rep.mismatch_count == 2
         assert rep.witness.symbols == self.BUILTIN_WITNESS
+
+
+class TestWalk:
+    """The labeling walk's work and its memory, on the builtin set."""
+
+    @pytest.mark.parametrize("search,most", [
+        (min_symbol_mismatch, 1144),
+        (enumerate_valid_colorings, 403),
+    ], ids=["mismatch", "colorings"])
+    def test_nodes_visited(self, ks18, search, most):
+        # Calls of the walk's inner `walk`, one per node.  Leaving the first
+        # basis unpinned, say, takes the mismatch search to 26,950.
+        filename = ksset._walk.__code__.co_filename
+        nodes = 0
+
+        def profile(frame, event, arg):
+            nonlocal nodes
+            f = frame.f_code
+            if event == "call" and f.co_name == "walk" and f.co_filename == filename:
+                nodes += 1
+
+        sys.setprofile(profile)
+        try:
+            search(ks18)
+        finally:
+            sys.setprofile(None)
+        assert 0 < nodes <= most
+
+    @pytest.mark.parametrize("search", [min_symbol_mismatch, enumerate_valid_colorings],
+                             ids=["mismatch", "colorings"])
+    def test_no_cyclic_garbage(self, ks18, search):
+        # The walk's tables are freed on return, not by the cyclic collector.
+        gc.collect()
+        gc.disable()
+        try:
+            search(ks18)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSymbolAssignment:
