@@ -19,9 +19,10 @@ draws its next uniforms from the same five generators; consecutive
 ``random`` calls continue one stream, so the draws, and the report, are
 bit-for-bit those of one call over all rounds, at any chunk size.  A
 chunk is tallied by one count of its rounds' classes (sifted, check,
-cross-basis, error), from which every count of the report follows.  At
-2^14 rounds a chunk's working set, about 118 B per round, fits a 2 MB L2
-cache; on a 2-core x86_64 host 2^13 and 2^15 ran no faster end to end.
+cross-basis, error).  The report is the session's tally of those counts,
+and every figure of the report is read from it.  At 2^14 rounds a
+chunk's working set, about 118 B per round, fits a 2 MB L2 cache; on a
+2-core x86_64 host 2^13 and 2^15 ran no faster end to end.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,35 +172,64 @@ def wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-@dataclass
-class CheckStats:
-    """Error statistics over the sacrificed (check) rounds.
+def _rate(errors: int, n: int) -> float | None:
+    return errors / n if n > 0 else None
 
-    Rates are None when their conditioning class is empty: an absent
-    statistic is undefined, never silently zero.
+
+@dataclass(frozen=True)
+class CheckStats:
+    """A tally of rounds per class, and every figure read from it.
+
+    ``counts[8*sifted + 4*check + 2*cross + error]`` is the number of
+    rounds in that class, as 16 ints: sifted rounds have codes 8-15, check
+    rounds 12-15, cross-basis check rounds 14-15, and errors odd codes.
+    ``check`` and ``cross`` count only on sifted rounds.  An error is a
+    round whose outcome differs from Alice's symbol; on a sifted non-check
+    round that is a key digit the keys disagree on.  Rates are None when
+    their conditioning class is empty: an absent statistic is undefined,
+    never silently zero.
     """
 
-    n_checks: int
-    n_same: int
-    n_cross: int
-    errors_overall: int
-    errors_same: int
-    errors_cross: int
+    counts: tuple[int, ...]
 
-    def _rate(self, errors: int, n: int) -> float | None:
-        return errors / n if n > 0 else None
+    rounds_total = property(lambda self: sum(self.counts))
+    rounds_sifted = property(lambda self: sum(self.counts[8:]))
+    n_checks = checks_used = property(lambda self: sum(self.counts[12:]))
+    n_same = property(lambda self: self.counts[12] + self.counts[13])
+    n_cross = property(lambda self: self.counts[14] + self.counts[15])
+    errors_overall = property(lambda self: self.counts[13] + self.counts[15])
+    errors_same = property(lambda self: self.counts[13])
+    errors_cross = property(lambda self: self.counts[15])
+
+    @property
+    def sift_rate(self) -> float:
+        return self.rounds_sifted / self.rounds_total
+
+    @property
+    def same_basis_rate(self) -> float:
+        return (sum(self.counts[8:10]) + sum(self.counts[12:14])) / self.rounds_total
 
     @property
     def w_overall(self) -> float | None:
-        return self._rate(self.errors_overall, self.n_checks)
+        return _rate(self.errors_overall, self.n_checks)
 
     @property
     def w_same(self) -> float | None:
-        return self._rate(self.errors_same, self.n_same)
+        return _rate(self.errors_same, self.n_same)
 
     @property
     def w_cross(self) -> float | None:
-        return self._rate(self.errors_cross, self.n_cross)
+        return _rate(self.errors_cross, self.n_cross)
+
+    @property
+    def certified(self) -> bool | None:
+        """None when the verdict is INDETERMINATE."""
+        return certify(self).certified
+
+    @property
+    def key_agreement_rate(self) -> float | None:
+        """Share of key digits, sifted non-check rounds, the keys agree on."""
+        return _rate(sum(self.counts[8:12:2]), sum(self.counts[8:12]))
 
     def wilson(self) -> dict[str, tuple[float, float]]:
         return {
@@ -209,43 +240,19 @@ class CheckStats:
 
 
 def _tally(log: RoundLog) -> np.ndarray:
-    """Rounds per class, indexed [sifted, check, cross, error], in one count.
-
-    ``check`` and ``cross_basis`` count only on sifted rounds.  An error
-    is a round whose outcome differs from Alice's symbol; on a sifted
-    non-check round that is a key digit the keys disagree on.
-    """
+    """A log's rounds per class code of ``CheckStats``, in one count."""
     sifted, check, cross = (
         flag.view(np.uint8) for flag in (log.sifted, log.check, log.cross_basis)
     )
     code = 8 * sifted + 4 * check + 2 * cross + (log.bob_outcome != log.alice_symbol)
-    return np.bincount(code, minlength=16).reshape(2, 2, 2, 2)
-
-
-def _check_stats(counts: np.ndarray) -> CheckStats:
-    """The error statistics of a tally's sifted check rounds."""
-    (same_ok, same_err), (cross_ok, cross_err) = counts[1, 1].tolist()
-    return CheckStats(
-        n_checks=same_ok + same_err + cross_ok + cross_err,
-        n_same=same_ok + same_err,
-        n_cross=cross_ok + cross_err,
-        errors_overall=same_err + cross_err,
-        errors_same=same_err,
-        errors_cross=cross_err,
-    )
-
-
-def _agreed(counts: np.ndarray) -> int:
-    """Key digits, sifted non-check rounds, on which the two keys agree."""
-    return int(counts[1, 0, :, 0].sum())
+    return np.bincount(code, minlength=16)
 
 
 def estimate_error_stats(log: RoundLog) -> CheckStats:
-    return _check_stats(_tally(log))
+    return CheckStats(tuple(_tally(log).tolist()))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     verdict: str               # SECURE / INSECURE / INDETERMINATE
     failed: tuple[str, ...]    # statistics at or above the threshold
 
@@ -262,14 +269,17 @@ def certify(stats: CheckStats) -> Verdict:
     The dual test exists because the ball attack's trace concentrates in
     cross-basis rounds (same-basis rounds are error free by construction),
     so w_overall alone would halve the attack's visible signature.
-    Exact rational comparison avoids threshold rounding at the boundary.
+    Comparing errors·den < n·num in integers, for the threshold num/den,
+    avoids threshold rounding at the boundary.
     """
-    if stats.n_checks == 0 or stats.n_cross == 0:
+    n_checks, n_cross = stats.n_checks, stats.n_cross
+    if n_checks == 0 or n_cross == 0:
         return Verdict(INDETERMINATE, ())
+    num, den = W_THRESHOLD.numerator, W_THRESHOLD.denominator
     failed = []
-    if not stats.errors_overall < stats.n_checks * W_THRESHOLD:
+    if not stats.errors_overall * den < n_checks * num:
         failed.append("w_overall")
-    if not stats.errors_cross < stats.n_cross * W_THRESHOLD:
+    if not stats.errors_cross * den < n_cross * num:
         failed.append("w_cross")
     return Verdict(INSECURE if failed else SECURE, tuple(failed))
 
@@ -290,33 +300,28 @@ def _keys(log: RoundLog) -> tuple[str, str]:
 def extract_key(log: RoundLog) -> tuple[str, str, float | None]:
     """Keys from sifted non-check rounds, in round order."""
     key_a, key_b = _keys(log)
-    return key_a, key_b, _agreed(_tally(log)) / len(key_a) if key_a else None
+    return key_a, key_b, estimate_error_stats(log).key_agreement_rate
 
 
-@dataclass
-class SessionReport:
+@dataclass(frozen=True)
+class SessionReport(CheckStats):
+    """A session's tally with its config and its two keys."""
+
     config: SessionConfig
-    rounds_total: int
-    rounds_sifted: int
-    sift_rate: float
-    same_basis_rate: float
-    checks_used: int
-    w_overall: float | None
-    w_same: float | None
-    w_cross: float | None
-    certified: bool | None     # None when the verdict is INDETERMINATE
     key_alice: str
     key_bob: str
-    key_agreement_rate: float | None
 
-    def to_dict(self) -> dict:
-        """Every field in declaration order, the config as its own dict."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["config"] = self.config.to_dict()
-        return doc
+    JSON_KEYS = (
+        "config", "rounds_total", "rounds_sifted", "sift_rate",
+        "same_basis_rate", "checks_used", "w_overall", "w_same", "w_cross",
+        "certified", "key_alice", "key_bob", "key_agreement_rate",
+    )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """Every figure named in ``JSON_KEYS``, in order; the config as a dict."""
+        doc = {name: getattr(self, name) for name in self.JSON_KEYS}
+        doc["config"] = self.config.to_dict()
+        return json.dumps(doc, indent=2) + "\n"
 
 
 def report_from_log(config: SessionConfig, logs: Iterable[RoundLog]) -> SessionReport:
@@ -325,7 +330,7 @@ def report_from_log(config: SessionConfig, logs: Iterable[RoundLog]) -> SessionR
     Each log is tallied and then dropped, so ``logs`` may be a generator
     of chunks; only the key digits are kept.
     """
-    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    counts = np.zeros(16, dtype=np.int64)
     keys_a, keys_b = [], []
     for log in logs:
         counts += _tally(log)
@@ -333,24 +338,8 @@ def report_from_log(config: SessionConfig, logs: Iterable[RoundLog]) -> SessionR
         keys_a.append(key_a)
         keys_b.append(key_b)
         del log  # freed before the generator simulates the next chunk
-    key_alice, key_bob = "".join(keys_a), "".join(keys_b)
-    n, n_sifted = int(counts.sum()), int(counts[1].sum())
-    stats = _check_stats(counts)
-    verdict = certify(stats)
     return SessionReport(
-        config=config,
-        rounds_total=n,
-        rounds_sifted=n_sifted,
-        sift_rate=n_sifted / n,
-        same_basis_rate=int(counts[1, :, 0].sum()) / n,
-        checks_used=stats.n_checks,
-        w_overall=stats.w_overall,
-        w_same=stats.w_same,
-        w_cross=stats.w_cross,
-        certified=verdict.certified,
-        key_alice=key_alice,
-        key_bob=key_bob,
-        key_agreement_rate=_agreed(counts) / len(key_alice) if key_alice else None,
+        tuple(counts.tolist()), config, "".join(keys_a), "".join(keys_b)
     )
 
 

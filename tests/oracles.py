@@ -7,12 +7,14 @@ graph-coloring formulation for the minimum, a direct squared overlap for
 ray equality, closed forms for the ball attack's and the depolarizing
 channel's error rates, a nested Fraction enumeration of the
 intercept-resend rates that calls ``qcore.exact_born`` itself instead of
-reading ``ksset.born_table``, and, for the vectorized round kernel, a
+reading ``ksset.born_table``, the Wilson score interval as the roots of
+its quadratic, and, for the vectorized round kernel, a
 per-round Python loop that searches Born numerators it derives itself
 from the set's integer amplitudes, with no use of the kernel's tables.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +236,19 @@ def analytic_w(spec):
         return 0.0, 1.0
     w = 0.75 * spec.p
     return w, 1.0 - w
+
+
+def wilson_roots(k, n, z=1.96):
+    """The Wilson score interval of k errors in n as two quadratic roots.
+
+    Its ends are the p at which the score test (k/n - p)^2 = z^2 p(1-p)/n
+    holds with equality, the roots of (n + z^2) p^2 - (2k + z^2) p + k^2/n.
+    The lower root is taken from the product of the roots, c/a, so that
+    it does not cancel when k is small.
+    """
+    a, b, c = n + z * z, 2 * k + z * z, k * k / n
+    hi = (b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
+    return c / (a * hi), hi
 
 
 def exact_overlap_sq(u, v):
