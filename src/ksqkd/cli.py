@@ -15,8 +15,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from . import adversary, ksset
 from .adversary import AdversarySpec
@@ -118,13 +119,14 @@ def _load_set(path: str | None):
         raise ConfigError(str(exc)) from exc
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Write `text` to stdout or `out_path`."""
+def _emit(write: Callable[[TextIO], object], out_path: str | None) -> None:
+    """Call `write` on stdout, or on `out_path` opened for writing."""
     if out_path is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     try:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as fh:
+            write(fh)
     except OSError as exc:
         raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
@@ -181,7 +183,8 @@ def cmd_analyze(args) -> int:
         "profiles_ok": ksset.wrong_basis_profiles(ks).ok,
         "entangled_count": sum(ksset.entanglement_table(ks).values()),
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    text = json.dumps(doc, indent=2) + "\n"
+    _emit(lambda out: out.write(text), args.out)
     ok = all(doc[k] == v for k, v in _ANALYZE_EXPECT.items())
     return 0 if ok else 1
 
@@ -191,7 +194,7 @@ def cmd_simulate(args) -> int:
 
     config = load_config(args.config, seed_override=args.seed)
     report = protocol.run_session(config)
-    _emit(report.to_json(), args.out)
+    _emit(report.to_json, args.out)
     if not args.certify:
         return 0
     if report.certified is None:
@@ -240,7 +243,8 @@ def cmd_sweep(args) -> int:
             _csv_cell(r.w_cross), repr(r.sift_rate), str(r.rounds_sifted),
             certified,
         ]))
-    _emit("\n".join(rows) + "\n", args.out)
+    text = "\n".join(rows) + "\n"
+    _emit(lambda out: out.write(text), args.out)
     return 0
 
 

@@ -38,7 +38,7 @@ CASES = {
                              "--config", str(GOLDEN / f"{name}.ini")]
         for name in ("ideal", "ball", "intercept-noisy")
     },
-    # 10^5 rounds span several chunks of protocol.CHUNK_ROUNDS.
+    # 10^5 rounds span 13 chunks of protocol.CHUNK_ROUNDS.
     **{
         f"simulate-{name}-100k": ["simulate", "--certify", "--seed", "5",
                                   "--config", str(GOLDEN / f"{name}-100k.ini")]
@@ -81,6 +81,29 @@ def test_output_matches_golden_digest(capsys, name):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert code == want_code
+
+
+# A report is written in pieces, its keys a chunk at a time: `--out` must
+# get the bytes stdout gets, over many chunks and when both keys are empty.
+@pytest.mark.parametrize("name", ["simulate-ball-100k", "simulate-intercept-noisy-100k",
+                                  "empty-keys"])
+def test_out_file_matches_stdout(capsys, tmp_path, name):
+    if name == "empty-keys":
+        config = tmp_path / "checks-only.ini"
+        config.write_text("[session]\nrounds = 20000\ncheck_fraction = 1.0\n")
+        argv = ["simulate", "--certify", "--config", str(config)]
+    else:
+        argv = CASES[name]
+    code = main(argv)
+    out = capsys.readouterr().out
+    path = tmp_path / "report.json"
+    assert main([*argv, "--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+    doc = json.loads(out)
+    assert json.dumps(doc, indent=2) + "\n" == out
+    if name == "empty-keys":
+        assert doc["key_alice"] == doc["key_bob"] == "" and doc["rounds_sifted"] > 0
 
 
 BAD = GOLDEN / "bad"
