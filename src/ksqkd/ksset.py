@@ -150,12 +150,12 @@ def verify_ks_structure(ks: KSSet) -> VerificationReport:
 # The labeling walk
 # ---------------------------------------------------------------------------
 
-def _walk(ks: KSSet, order, choices, bounds, leaf) -> tuple[int, list] | None:
+def _walk(ks: KSSet, choices, bounds, leaf) -> tuple[int, list] | None:
     """Depth-first search over per-basis labelings with few defective vectors.
 
     A labeling gives each of a basis's four positions a symbol; a vector
     is defective when two of its positions, in one basis or in two, carry
-    different symbols.  Depth k labels basis ``order[k]`` with each
+    different symbols.  Depth k labels basis k with each
     labeling of ``choices[k]`` in turn, and a branch is cut as soon as its
     defect count exceeds the bound, so leaves are reached in lexicographic
     order of the choice indices.  Each leaf's labelings, one per depth, go
@@ -175,7 +175,7 @@ def _walk(ks: KSSet, order, choices, bounds, leaf) -> tuple[int, list] | None:
     and the walk stays exact.  A depth whose labelings are not all
     bijections, as in the coloring walk, adds nothing to the bound.
     """
-    bases = [ks.bases[i].members for i in order]
+    bases = [b.members for b in ks.bases]
     # The depths that read each vector, at its first position in the basis.
     reads: dict[int, list[int]] = {}
     for k, members in enumerate(bases):
@@ -341,7 +341,7 @@ def enumerate_valid_colorings(ks: KSSet) -> ColoringResult:
             found.append(tuple(m[lab.index(1)] for m, lab in zip(members, labels)))
         return False
 
-    _walk(ks, range(len(ks.bases)), [_PICKS] * len(ks.bases), [0], leaf)
+    _walk(ks, [_PICKS] * len(ks.bases), [0], leaf)
     return ColoringResult(count, found if count <= COLORING_LIST_LIMIT else [])
 
 
@@ -408,43 +408,23 @@ def parity_lower_bound(ks: KSSet) -> int:
     return 2
 
 
-def _search_order(ks: KSSet) -> list[int]:
-    """Basis processing order maximizing overlap with labeled vectors."""
-    n = len(ks.bases)
-    remaining = list(range(n))
-    order = [remaining.pop(0)]
-    covered = set(ks.bases[order[0]].members)
-    while remaining:
-        best = max(
-            remaining,
-            key=lambda i: (len(covered.intersection(ks.bases[i].members)), -i),
-        )
-        remaining.remove(best)
-        order.append(best)
-        covered.update(ks.bases[best].members)
-    return order
-
 _PERMS = tuple(itertools.permutations(SYMBOLS))
 
 
 def min_symbol_mismatch(ks: KSSet) -> MismatchReport:
     """Exact minimum number of defective vectors over all symbol labelings.
 
-    Two first-hit runs of :func:`_walk` over the bijections, the first
-    basis pinned to the identity.  The value: for bound = 0, 1, 2, ...
-    walk with the bases in an overlap-maximizing order until some
-    labeling fits; each smaller bound was searched exhaustively and
-    failed, so the search itself proves the minimum.  The witness: one
-    more walk at that minimum, in basis order, whose first leaf is the
-    optimum with the lexicographically smallest symbol table in basis
-    order.  A global symbol relabeling keeps every defect count, so
-    pinning the first basis to the identity loses no optimum that could
-    come first, and the witness is deterministic.
+    One first-hit run of :func:`_walk` over the bijections, in basis
+    order, with the first basis pinned to the identity, at bound = 0, 1,
+    2, ... until some labeling fits.  Each smaller bound was searched
+    exhaustively and failed, so the search itself proves the minimum, and
+    its first leaf, the witness, is the optimum with the lexicographically
+    smallest symbol table in basis order.  A global symbol relabeling keeps
+    every defect count, so pinning the first basis to the identity loses
+    no optimum that could come first, and the witness is deterministic.
     """
     choices = [_PERMS[:1]] + [_PERMS] * (len(ks.bases) - 1)
-    best, _ = _walk(ks, _search_order(ks), choices, itertools.count(),
-                    lambda labels: True)
-    _, perms = _walk(ks, range(len(ks.bases)), choices, [best], lambda labels: True)
+    best, perms = _walk(ks, choices, itertools.count(), lambda labels: True)
     witness = SymbolAssignment({b.label: p for b, p in zip(ks.bases, perms)})
     bad = defective_vectors(ks, witness)
     # Re-derive the count from the witness itself as a consistency check.

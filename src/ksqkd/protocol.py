@@ -250,17 +250,13 @@ class CheckStats:
         }
 
 
-def _tally(log: RoundLog) -> np.ndarray:
-    """A log's rounds per class code of ``CheckStats``, in one count."""
+def estimate_error_stats(log: RoundLog) -> CheckStats:
+    """A log's tally: its rounds per class code of ``CheckStats``, in one count."""
     sifted, check, cross = (
         flag.view(np.uint8) for flag in (log.sifted, log.check, log.cross_basis)
     )
     code = 8 * sifted + 4 * check + 2 * cross + (log.bob_outcome != log.alice_symbol)
-    return np.bincount(code, minlength=16)
-
-
-def estimate_error_stats(log: RoundLog) -> CheckStats:
-    return CheckStats(tuple(_tally(log).tolist()))
+    return CheckStats(tuple(np.bincount(code, minlength=16).tolist()))
 
 
 class Verdict(NamedTuple):
@@ -301,7 +297,7 @@ _NIBBLES = np.arange(256)[:, None] >> np.array([0, 4]) & 15
 _KEY_ASCII = (np.stack([_NIBBLES & 3, _NIBBLES >> 2]) + ord("1")).astype(np.uint8)
 
 
-def _pack_keys(log: RoundLog) -> tuple[bytes, int]:
+def extract_key(log: RoundLog) -> tuple[bytes, int]:
     """A log's key rounds, its sifted non-check rounds in round order, packed.
 
     A round is the nibble ``(alice - 1) | (bob - 1) << 2`` of its two key
@@ -324,13 +320,6 @@ def _key_digits(chunk: tuple[bytes, int], side: int) -> str:
     return pairs.tobytes()[:count].decode("ascii")
 
 
-def extract_key(log: RoundLog) -> tuple[str, str, float | None]:
-    """Keys from sifted non-check rounds, in round order."""
-    chunk = _pack_keys(log)
-    return (_key_digits(chunk, 0), _key_digits(chunk, 1),
-            estimate_error_stats(log).key_agreement_rate)
-
-
 def _json_members(doc: dict) -> str:
     """The members of ``json.dumps(doc, indent=2)``, without its braces."""
     return json.dumps(doc, indent=2)[2:-2]
@@ -340,8 +329,9 @@ def _json_members(doc: dict) -> str:
 class SessionReport(CheckStats):
     """A session's tally with its config and its two keys.
 
-    ``packed_keys`` holds each chunk's key rounds as ``_pack_keys`` packs
-    them, half a byte per round for both keys.
+    ``counts`` is the sum of the chunks' ``estimate_error_stats`` counts,
+    and ``packed_keys`` holds each chunk's key rounds as ``extract_key``
+    packs them, half a byte per round for both keys.
     """
 
     config: SessionConfig
@@ -390,14 +380,15 @@ class SessionReport(CheckStats):
 def report_from_log(config: SessionConfig, logs: Iterable[RoundLog]) -> SessionReport:
     """Aggregate a session's round logs, in round order, into its report.
 
-    Each log is tallied and then dropped, so ``logs`` may be a generator
-    of chunks; only its packed key rounds are kept.
+    Each log is tallied by :func:`estimate_error_stats` and keyed by
+    :func:`extract_key`, then dropped, so ``logs`` may be a generator of
+    chunks; only its packed key rounds are kept.
     """
     counts = np.zeros(16, dtype=np.int64)
     keys = []
     for log in logs:
-        counts += _tally(log)
-        keys.append(_pack_keys(log))
+        counts += estimate_error_stats(log).counts
+        keys.append(extract_key(log))
         del log  # freed before the generator simulates the next chunk
     return SessionReport(tuple(counts.tolist()), config, tuple(keys))
 

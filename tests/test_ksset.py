@@ -293,12 +293,12 @@ class TestWalk:
     """The labeling walk's work and its memory, on the builtin set."""
 
     @pytest.mark.parametrize("search,most", [
-        (min_symbol_mismatch, 1144),
+        (min_symbol_mismatch, 948),
         (enumerate_valid_colorings, 403),
     ], ids=["mismatch", "colorings"])
     def test_nodes_visited(self, ks18, search, most):
         # Calls of the walk's inner `walk`, one per node.  Leaving the first
-        # basis unpinned, say, takes the mismatch search to 26,950.
+        # basis unpinned, say, takes the mismatch search to 22,476.
         filename = ksset._walk.__code__.co_filename
         nodes = 0
 

@@ -218,9 +218,15 @@ class TestCertify:
 
 
 class TestExtractKey:
+    @staticmethod
+    def keys(log):
+        """Both keys and their agreement rate, as the log's report gives them."""
+        report = report_from_log(SessionConfig(rounds=len(log)), [log])
+        return report.key_alice, report.key_bob, report.key_agreement_rate
+
     def test_ideal_keys_agree(self):
         log = run_rounds(SessionConfig(rounds=20_000, seed=5))
-        key_a, key_b, agreement = extract_key(log)
+        key_a, key_b, agreement = self.keys(log)
         assert key_a == key_b and agreement == 1.0
         assert set(key_a) <= set("1234") and len(key_a) > 0
 
@@ -229,7 +235,7 @@ class TestExtractKey:
         log = run_rounds(SessionConfig(
             rounds=1_000_000, seed=5, noise=NoiseSpec("depolarizing", p),
         ))
-        key_a, key_b, agreement = extract_key(log)
+        key_a, key_b, agreement = self.keys(log)
         keep = log.sifted & ~log.check
         assert key_a == "".join(map(str, log.alice_symbol[keep]))
         assert key_b == "".join(map(str, log.bob_outcome[keep]))
@@ -240,9 +246,10 @@ class TestExtractKey:
     def test_no_rounds_yields_empty_keys(self):
         log = run_rounds(SessionConfig(rounds=3, seed=13, check_fraction=1.0))
         keep = log.sifted & ~log.check
-        if not keep.any():
-            key_a, key_b, agreement = extract_key(log)
-            assert key_a == "" and key_b == "" and agreement is None
+        assert not keep.any()
+        assert extract_key(log) == (b"", 0)
+        key_a, key_b, agreement = self.keys(log)
+        assert key_a == "" and key_b == "" and agreement is None
 
 
 class TestRunSession:
