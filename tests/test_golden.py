@@ -33,6 +33,9 @@ CASES = {
     "mismatch": ["mismatch"],
     "analyze": ["analyze"],
     "intercept": ["intercept"],
+    # The builtin set in another basis order, with its positions shuffled.
+    "mismatch-permuted": ["mismatch", "--set", str(GOLDEN / "permuted.ks")],
+    "color-permuted": ["color", "--set", str(GOLDEN / "permuted.ks")],
     **{
         f"simulate-{name}": ["simulate", "--certify", "--seed", "5",
                              "--config", str(GOLDEN / f"{name}.ini")]
@@ -178,7 +181,8 @@ def run_without_numpy(argv):
                           capture_output=True, text=True, env=env)
 
 
-@pytest.mark.parametrize("name", ["verify", "color", "mismatch", "analyze", "intercept"])
+@pytest.mark.parametrize("name", ["verify", "color", "mismatch", "analyze", "intercept",
+                                  "mismatch-permuted", "color-permuted"])
 def test_exact_commands_run_without_numpy(name):
     proc = run_without_numpy(CASES[name])
     assert proc.stderr == ""
