@@ -194,33 +194,25 @@ def _walk(ks: KSSet, choices, bounds, leaf) -> tuple[int, list] | None:
     # Per depth: the vectors labeled at an earlier depth, with the offsets
     # they owe below it, and per labeling the symbol it gives each of them
     # (0 where it splits one, giving two positions of one basis different
-    # symbols), the label writes of the new vectors, and the bits those
-    # owe.  Then, as bit masks over the labelings, ``agree[i][s]``: those
-    # giving old vector i symbol s, and per new vector, those splitting it.
+    # symbols), the label writes of the new vectors, the bits those owe,
+    # and how many of them it splits.
     steps = []
     for k, (members, labelings) in enumerate(zip(bases, choices)):
         old = [v for v in dict.fromkeys(members) if reads[v][0] < k]
         new = [v for v in dict.fromkeys(members) if reads[v][0] == k]
-        agree = [[0] * width for _ in old]
-        splits = dict.fromkeys(new, 0)
         table = []
-        for t, lab in enumerate(labelings):
+        for lab in labelings:
             given = dict(zip(members, lab))
             if len(given) < len(members):
                 given.update((v, 0) for v, s in zip(members, lab) if given[v] != s)
-            for row, v in zip(agree, old):
-                row[given[v]] |= 1 << t
-            for v in new:
-                if not given[v]:
-                    splits[v] |= 1 << t
             table.append((
                 lab,
                 tuple([given[v] for v in old]),
                 [(v, given[v]) for v in new],
                 [owe[k][v] + given[v] for v in new if v in owe[k] and given[v]],
+                [given[v] for v in new].count(0),
             ))
-        steps.append((old, [owe[k].get(v, 0) for v in old], table, agree,
-                       [m for m in splits.values() if m]))
+        steps.append((old, [owe[k].get(v, 0) for v in old], table))
     band = (1 << width) - 1
     # Symbol from a vector's first basis, 0 once the vector is defective.
     # A vector is written at its first depth and read only below it, so
@@ -230,33 +222,22 @@ def _walk(ks: KSSet, choices, bounds, leaf) -> tuple[int, list] | None:
 
     @functools.cache
     def options(k: int, need: tuple[int, ...], slack: int):
-        """Depth k's labelings that add at most ``slack`` defects.
+        """Depth k's labelings that add at most ``slack`` defects, in order.
 
-        Each comes with the number of vectors it newly makes defective,
-        the label writes that apply it and those that undo it, the bits
-        its own vectors owe below k, and its cost: its new defects plus
-        those that its owed bits force among themselves.
+        A labeling adds one defect for each old vector still holding a
+        symbol that it gives any other (0 when it splits it), and one for
+        each new vector it splits.  Each comes with that count, the label
+        writes that apply it and those that undo it, the bits its own
+        vectors owe below k, and its cost: its new defects plus those that
+        its owed bits force among themselves.
         """
-        old, offsets, table, agree, splits = steps[k]
-        # Each mask marks the labelings that charge one defect: those that
-        # give an old vector still holding a symbol any other (0 when they
-        # split it), and those that split a new vector.  Summed bitwise for
-        # all labelings at once, bit t of over[c] is set when labeling t
-        # charges more than c.
-        every = (1 << len(table)) - 1
-        over = [0] * (slack + 1)
-        for miss in [every ^ row[s] for row, s in zip(agree, need) if s] + splits:
-            for c in range(slack, 0, -1):
-                over[c] |= over[c - 1] & miss
-            over[0] |= miss
-        fit = every & ~over[slack]
+        old, offsets, table = steps[k]
         out = []
-        while fit:
-            t = (fit & -fit).bit_length() - 1
-            fit &= fit - 1
-            lab, want, writes, owed = table[t]
+        for lab, want, writes, owed, split in table:
             undo = [(v, s) for v, s, w in zip(old, need, want) if s != w and s]
-            bad = len(undo) + [s for _, s in writes].count(0)
+            bad = len(undo) + split
+            if bad > slack:
+                continue
             owed = owed + [o + s for o, s, w in zip(offsets, need, want)
                            if o and s == w and s]
             keys = sum(1 << b for b in set(owed))

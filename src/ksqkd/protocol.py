@@ -345,12 +345,6 @@ class SessionReport(CheckStats):
     )
     JSON_TAIL = ("key_agreement_rate",)
 
-    key_alice = property(lambda self: self._key(0))
-    key_bob = property(lambda self: self._key(1))
-
-    def _key(self, side: int) -> str:
-        return "".join(_key_digits(chunk, side) for chunk in self.packed_keys)
-
     def to_json(self, out: TextIO | None = None) -> str | None:
         """The report as ``json.dumps(doc, indent=2)`` writes it, and a newline.
 

@@ -128,6 +128,7 @@ BAD_CASES = {
             ("noise-without-kind", BAD / "noise.ini"),
             ("assignment-without-ball", BAD / "assignment-without-ball.ini"),
             ("percent", BAD / "percent.ini"),  # a literal `%`, not interpolation
+            ("ball-noise", BAD / "ball-noise.ini"),  # the ball ignores noise
         )
     },
     **{

@@ -171,6 +171,19 @@ class TestParityBound:
         )
         assert parity_lower_bound(sub) == 0
 
+    def test_bounds_every_odd_subset(self, ks18):
+        # Every odd subset but the whole set holds a ray outside exactly two
+        # of its bases, and 255 of the 256 have a minimum below 2.
+        labels = [b.label for b in ks18.bases]
+        for n in range(1, len(labels) + 1, 2):
+            for chosen in itertools.combinations(labels, n):
+                sub = oracles.subset_ks(ksset, ks18, set(chosen))
+                assert parity_lower_bound(sub) <= min_symbol_mismatch(sub).mismatch_count
+
+    def test_empty_structure_raises(self):
+        with pytest.raises(ValueError, match="empty structure"):
+            parity_lower_bound(build_set([]))
+
 
 class TestMinMismatch:
     BUILTIN_WITNESS = {
@@ -399,6 +412,13 @@ class TestSetFiles:
             parse_set_file("not a record\n")
         with pytest.raises(ksset.SetFormatError, match="zero vector"):
             parse_set_file("vector 0: 0 0 0 0\nbasis I: 0 0 0 0\n")
+        with pytest.raises(ksset.SetFormatError, match="expected 4 vector ids"):
+            parse_set_file("vector 0: 1 0 0 0\nbasis I: 0 0 0\n")
+        with pytest.raises(ksset.SetFormatError, match="unknown record kind 'ray'"):
+            parse_set_file("ray 0: 1 0 0 0\nbasis I: 0 0 0 0\n")
+        # Blank lines and comments are skipped, so no basis record is left.
+        with pytest.raises(ksset.SetFormatError, match="no basis records found"):
+            parse_set_file("# basis I: 0 0 0 0\n\n   \nvector 0: 1 0 0 0  # one ray\n")
 
     def test_assignment_file(self, ks18):
         text = "\n".join(
@@ -408,5 +428,14 @@ class TestSetFiles:
         assert a.symbols["I"][0] == 1
 
     def test_assignment_file_missing_basis(self, ks18):
-        with pytest.raises(ksset.SetFormatError):
+        with pytest.raises(ksset.SetFormatError, match="missing assignments for bases"):
             parse_assignment_file("basis I: 1 2 3 4", ks18)
+
+    def test_assignment_file_errors(self, ks18):
+        full = "".join(f"basis {b.label}: 1 2 3 4\n" for b in ks18.bases)
+        with pytest.raises(ksset.SetFormatError, match="unknown record kind 'vector'"):
+            parse_assignment_file("vector I: 1 2 3 4\n", ks18)
+        with pytest.raises(ksset.SetFormatError, match="expected 4 symbols"):
+            parse_assignment_file("basis I: 1 2 3\n", ks18)
+        with pytest.raises(ksset.SetFormatError, match=r"assignments for unknown bases \['X'\]"):
+            parse_assignment_file(full + "basis X: 1 2 3 4\n", ks18)

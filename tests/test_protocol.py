@@ -222,7 +222,8 @@ class TestExtractKey:
     def keys(log):
         """Both keys and their agreement rate, as the log's report gives them."""
         report = report_from_log(SessionConfig(rounds=len(log)), [log])
-        return report.key_alice, report.key_bob, report.key_agreement_rate
+        doc = json.loads(report.to_json())
+        return doc["key_alice"], doc["key_bob"], doc["key_agreement_rate"]
 
     def test_ideal_keys_agree(self):
         log = run_rounds(SessionConfig(rounds=20_000, seed=5))
@@ -257,7 +258,8 @@ class TestRunSession:
         r = run_session(SessionConfig(rounds=100_000, seed=77))
         assert r.certified is True and r.w_overall == 0.0
         assert r.key_agreement_rate == 1.0
-        assert len(r.key_alice) == r.rounds_sifted - r.checks_used
+        key_alice = json.loads(r.to_json())["key_alice"]
+        assert len(key_alice) == r.rounds_sifted - r.checks_used
 
     def test_ball_attack_flagged(self, optimal_witness):
         # The optimal attack's cross-basis rate is exactly the 1/9 threshold,
