@@ -75,12 +75,6 @@ def load_config(path: str | None, seed_override: int | None = None) -> SessionCo
         }
         session = typed["session"]
         noise = NoiseSpec(**typed["noise"])
-        # A ball session's rounds read the adversary's labeling, not a noisy
-        # channel: its noise would be echoed in the report but never applied.
-        if noise.kind != "none" and typed["adversary"].get("kind") == "ball":
-            raise ConfigError(
-                f"noise kind {noise.kind!r} needs an adversary kind other than 'ball'"
-            )
         adv = _load_adversary(typed["adversary"])
         if seed_override is not None:
             session["seed"] = seed_override

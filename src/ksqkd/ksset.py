@@ -163,43 +163,21 @@ def _walk(ks: KSSet, choices, bounds, leaf) -> tuple[int, list] | None:
     stops at the first leaf for which ``leaf`` returns True, returning
     that bound and the leaf's labelings, or returns None once every leaf
     at every bound is visited.
-
-    A forward bound cuts a branch sooner: once its defects plus those that
-    later depths are already forced to add exceed the bound.  Take a later
-    depth j whose labelings are all bijections, and the vectors that still
-    hold a symbol and are next read at j.  A bijection gives each symbol
-    to one position only, so c of those vectors sharing a symbol leave at
-    least c - 1 of them defective at j.  Each vector counts at its next
-    read only, and a defective one (say, split by the basis that labels
-    it) not at all, so the bound never exceeds the defects still to come
-    and the walk stays exact.  A depth whose labelings are not all
-    bijections, as in the coloring walk, adds nothing to the bound.
     """
     bases = [b.members for b in ks.bases]
-    # The depths that read each vector, at its first position in the basis.
-    reads: dict[int, list[int]] = {}
+    # The depth that labels each vector first.
+    first: dict[int, int] = {}
     for k, members in enumerate(bases):
-        for v in dict.fromkeys(members):
-            reads.setdefault(v, []).append(k)
-    # Forward bound data.  A vector read at depth k with symbol s, whose
-    # next read j is at an all-bijection depth, owes bit j * width + s
-    # until it is read there; ``owe[k][v]`` is j * width.
-    bijective = [all(len(set(lab)) == len(lab) for lab in labs) for labs in choices]
-    width = 1 + max(max(lab) for labs in choices for lab in labs)
-    owe: list[dict[int, int]] = [{} for _ in bases]
-    for v, at in reads.items():
-        for k, j in zip(at, at[1:]):
-            if bijective[j]:
-                owe[k][v] = j * width
-    # Per depth: the vectors labeled at an earlier depth, with the offsets
-    # they owe below it, and per labeling the symbol it gives each of them
-    # (0 where it splits one, giving two positions of one basis different
-    # symbols), the label writes of the new vectors, the bits those owe,
-    # and how many of them it splits.
+        for v in members:
+            first.setdefault(v, k)
+    # Per depth: the vectors labeled at an earlier depth, and per labeling
+    # the symbol it gives each of them (0 where it splits one, giving two
+    # positions of one basis different symbols), the label writes of the
+    # new vectors, and how many of them it splits.
     steps = []
     for k, (members, labelings) in enumerate(zip(bases, choices)):
-        old = [v for v in dict.fromkeys(members) if reads[v][0] < k]
-        new = [v for v in dict.fromkeys(members) if reads[v][0] == k]
+        old = [v for v in dict.fromkeys(members) if first[v] < k]
+        new = [v for v in dict.fromkeys(members) if first[v] == k]
         table = []
         for lab in labelings:
             given = dict(zip(members, lab))
@@ -209,11 +187,9 @@ def _walk(ks: KSSet, choices, bounds, leaf) -> tuple[int, list] | None:
                 lab,
                 tuple([given[v] for v in old]),
                 [(v, given[v]) for v in new],
-                [owe[k][v] + given[v] for v in new if v in owe[k] and given[v]],
                 [given[v] for v in new].count(0),
             ))
-        steps.append((old, [owe[k].get(v, 0) for v in old], table))
-    band = (1 << width) - 1
+        steps.append((old, table))
     # Symbol from a vector's first basis, 0 once the vector is defective.
     # A vector is written at its first depth and read only below it, so
     # only the defect marks need undoing on the way back up.
@@ -227,47 +203,27 @@ def _walk(ks: KSSet, choices, bounds, leaf) -> tuple[int, list] | None:
         A labeling adds one defect for each old vector still holding a
         symbol that it gives any other (0 when it splits it), and one for
         each new vector it splits.  Each comes with that count, the label
-        writes that apply it and those that undo it, the bits its own
-        vectors owe below k, and its cost: its new defects plus those that
-        its owed bits force among themselves.
+        writes that apply it and those that undo it.
         """
-        old, offsets, table = steps[k]
+        old, table = steps[k]
         out = []
-        for lab, want, writes, owed, split in table:
+        for lab, want, writes, split in table:
             undo = [(v, s) for v, s, w in zip(old, need, want) if s != w and s]
             bad = len(undo) + split
-            if bad > slack:
-                continue
-            owed = owed + [o + s for o, s, w in zip(offsets, need, want)
-                           if o and s == w and s]
-            keys = sum(1 << b for b in set(owed))
-            out.append((lab, bad, writes + [(v, 0) for v, _ in undo], undo,
-                        keys, bad + len(owed) - keys.bit_count()))
+            if bad <= slack:
+                out.append((lab, bad, writes + [(v, 0) for v, _ in undo], undo))
         return out
 
-    def walk(k: int, slack: int, owed: int, clashes: int) -> bool:
-        """Walk depth k and below with ``slack`` defects left to spend.
-
-        ``owed`` has the bits owed at depth k and below set, and
-        ``clashes`` counts the defects those bits force among themselves.
-        """
+    def walk(k: int, slack: int) -> bool:
+        """Walk depth k and below with ``slack`` defects left to spend."""
         if k == len(steps):
             return leaf(chosen)
         need = tuple([labels[v] for v in steps[k][0]])
-        if bijective[k]:
-            # The vectors read here that still hold a symbol pay their
-            # clashes in this depth's defects.  Their bits may stay set in
-            # ``owed``: every bit owed from here on is for a later depth.
-            here = owed & band << k * width
-            clashes -= len(need) - need.count(0) - here.bit_count()
-        for lab, bad, writes, undo, keys, cost in options(k, need, slack):
-            forced = cost + clashes + (keys & owed).bit_count()
-            if forced > slack:
-                continue
+        for lab, bad, writes, undo in options(k, need, slack):
             for v, s in writes:
                 labels[v] = s
             chosen.append(lab)
-            if walk(k + 1, slack - bad, owed | keys, forced - bad):
+            if walk(k + 1, slack - bad):
                 return True
             chosen.pop()
             for v, s in undo:
@@ -276,7 +232,7 @@ def _walk(ks: KSSet, choices, bounds, leaf) -> tuple[int, list] | None:
 
     try:
         for bound in bounds:
-            if walk(0, bound, 0, 0):
+            if walk(0, bound):
                 return bound, chosen
         return None
     finally:
@@ -396,16 +352,23 @@ def min_symbol_mismatch(ks: KSSet) -> MismatchReport:
     """Exact minimum number of defective vectors over all symbol labelings.
 
     One first-hit run of :func:`_walk` over the bijections, in basis
-    order, with the first basis pinned to the identity, at bound = 0, 1,
-    2, ... until some labeling fits.  Each smaller bound was searched
-    exhaustively and failed, so the search itself proves the minimum, and
-    its first leaf, the witness, is the optimum with the lexicographically
+    order, with the first basis pinned to the identity, at bound = b,
+    b + 1, ... from the parity bound b until some labeling fits.  The
+    bounds below b are excluded by the parity argument, not walked; each
+    bound from b on was searched exhaustively before the next, so the
+    first leaf, the witness, is the optimum with the lexicographically
     smallest symbol table in basis order.  A global symbol relabeling keeps
     every defect count, so pinning the first basis to the identity loses
     no optimum that could come first, and the witness is deterministic.
+
+    A parity bound above the minimum would report too high a count.  The
+    guards against that are ``TestParityBound::test_bounds_every_odd_subset``
+    in ``tests/test_ksset.py``, which checks the bound against an
+    independent oracle, and ``analyze``'s expectation of 2.
     """
     choices = [_PERMS[:1]] + [_PERMS] * (len(ks.bases) - 1)
-    best, perms = _walk(ks, choices, itertools.count(), lambda labels: True)
+    best, perms = _walk(ks, choices, itertools.count(parity_lower_bound(ks)),
+                        lambda labels: True)
     witness = SymbolAssignment({b.label: p for b, p in zip(ks.bases, perms)})
     bad = defective_vectors(ks, witness)
     # Re-derive the count from the witness itself as a consistency check.

@@ -71,6 +71,11 @@ class SessionConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0.0 <= self.check_fraction <= 1.0:
             raise ValueError("check_fraction must lie in [0, 1]")
+        # A ball session's rounds read the adversary's labeling, not a noisy
+        # channel: its noise would be echoed in the report but never applied.
+        if self.noise.kind != "none" and self.adversary.kind == "ball":
+            raise ValueError(f"noise kind {self.noise.kind!r} needs an adversary "
+                             "kind other than 'ball'")
 
     def to_dict(self) -> dict:
         adv: dict = {"kind": self.adversary.kind}

@@ -36,6 +36,8 @@ CASES = {
     # The builtin set in another basis order, with its positions shuffled.
     "mismatch-permuted": ["mismatch", "--set", str(GOLDEN / "permuted.ks")],
     "color-permuted": ["color", "--set", str(GOLDEN / "permuted.ks")],
+    # Basis I repeated as a tenth basis: parity bound 0, minimum 2.
+    "mismatch-repeated": ["mismatch", "--set", str(GOLDEN / "repeated.ks")],
     **{
         f"simulate-{name}": ["simulate", "--certify", "--seed", "5",
                              "--config", str(GOLDEN / f"{name}.ini")]
@@ -183,7 +185,8 @@ def run_without_numpy(argv):
 
 
 @pytest.mark.parametrize("name", ["verify", "color", "mismatch", "analyze", "intercept",
-                                  "mismatch-permuted", "color-permuted"])
+                                  "mismatch-permuted", "color-permuted",
+                                  "mismatch-repeated"])
 def test_exact_commands_run_without_numpy(name):
     proc = run_without_numpy(CASES[name])
     assert proc.stderr == ""

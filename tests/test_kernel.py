@@ -12,17 +12,18 @@ from ksqkd.protocol import SessionConfig, run_rounds
 import oracles
 from steering import centre
 
-# The four benchmark scenarios: (adversary kind, noise).
+# The four benchmark scenarios: (adversary kind, noise).  A ball session
+# takes no noise.
 SCENARIOS = [
     ("none", NoiseSpec()),
     ("none", NoiseSpec("depolarizing", 0.3)),
-    ("ball", NoiseSpec("depolarizing", 0.2)),
+    ("ball", NoiseSpec()),
     ("intercept_resend", NoiseSpec("depolarizing", 0.15)),
 ]
 
-# Uniforms at the edges of the 16ths that Born outcomes are read from:
-# 0, every k/16 exactly, and the largest double below each k/16 (k = 16
-# gives the largest uniform below 1).
+# Uniforms at the edges of every 16th, a grid that refines the den = 4
+# slots Born outcomes are read from: 0, every k/16 exactly, and the largest
+# double below each k/16 (k = 16 gives the largest uniform below 1).
 BOUNDARY_U = np.array(sorted(
     {0.0}
     | {k / 16 for k in range(16)}
@@ -57,7 +58,7 @@ def assert_matches_reference(ks, adv, noise, ua, ub, un, ue):
         assert np.array_equal(got[name], want[name]), name
 
 
-def test_tables_are_exact_sixteenths(ks18):
+def test_tables_fill_exact_born_slots(ks18):
     t = kernel.build_tables(ks18)
     assert t.outcome.shape == (18 * 9 * t.den,)
     assert t.outcome.dtype == np.int32
@@ -141,9 +142,10 @@ def every_cell(ua0, ua1, ub0, ub1, un0, un1, ue0, ue1):
     return tuple(np.column_stack(cols[i:i + 2]) for i in range(0, 8, 2))
 
 
-# The kernel reads each uniform only through floor(m u), m in {9, 4, 16},
-# and the noise draw only through `u < p`.  The midpoint of every cell
-# therefore feeds it every distinct round there is.
+# The kernel reads each uniform only through floor(m u), m in {9, 4, den}
+# with den = 4 for the builtin set, and the noise draw only through
+# `u < p`.  A grid of 16 cells refines den's, so the midpoint of every
+# cell feeds it every distinct round there is.
 P = 0.25
 NOISE_CELLS = np.array([P / 2, (1 + P) / 2])  # depolarized, clean
 MID = [0.5]  # a column the scenario never reads

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ from ksqkd.ksset import (
 )
 
 import oracles
+
+GOLDEN = Path(__file__).parent / "golden"
 
 ONE_BASIS = (("A", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),)
 TWO_DISJOINT = ONE_BASIS + (
@@ -172,13 +175,17 @@ class TestParityBound:
         assert parity_lower_bound(sub) == 0
 
     def test_bounds_every_odd_subset(self, ks18):
-        # Every odd subset but the whole set holds a ray outside exactly two
-        # of its bases, and 255 of the 256 have a minimum below 2.
+        # The search starts at the parity bound, so the bound is checked
+        # against an oracle that does not read it.  Every odd subset but the
+        # whole set holds a ray outside exactly two of its bases, and 255 of
+        # the 256 have a minimum below 2; the whole set's is 2.
         labels = [b.label for b in ks18.bases]
         for n in range(1, len(labels) + 1, 2):
             for chosen in itertools.combinations(labels, n):
                 sub = oracles.subset_ks(ksset, ks18, set(chosen))
-                assert parity_lower_bound(sub) <= min_symbol_mismatch(sub).mismatch_count
+                minimum = oracles.defect_subset_min_mismatch(sub, 2)
+                assert parity_lower_bound(sub) <= minimum
+        assert minimum == 2
 
     def test_empty_structure_raises(self):
         with pytest.raises(ValueError, match="empty structure"):
@@ -274,9 +281,9 @@ class TestMinMismatch:
         assert rep.witness.symbols == oracles.lex_min_witness(ks)
 
     def test_random_structures_match_oracles(self):
-        # The forward bound of the labeling walk must cut no branch that
-        # holds an optimum or a coloring: rays in one to four bases, bases
-        # holding a ray twice.  The rays (1, i, i^2, i^3) are distinct but
+        # The labeling walk must cut no branch that holds an optimum or a
+        # coloring, and the search must start at no bound above the minimum:
+        # rays in one to four bases, bases holding a ray twice.  The rays (1, i, i^2, i^3) are distinct but
         # not orthogonal; neither search reads amplitudes.
         rng = random.Random(11)
         for _ in range(300):
@@ -293,40 +300,45 @@ class TestMinMismatch:
                 == oracles.brute_force_coloring_count(ks)
             )
 
-    def test_minimum_independent_of_parity_bound(self, monkeypatch):
-        # The search proves the minimum on its own, so the parity bound
-        # can be checked against it.
-        monkeypatch.setattr(ksset, "parity_lower_bound", lambda ks: 5)
-        rep = min_symbol_mismatch(builtin_ks18())
-        assert rep.mismatch_count == 2
-        assert rep.witness.symbols == self.BUILTIN_WITNESS
+    def test_walk_proves_builtin_minimum(self, ks18):
+        # The bounds below the parity bound are never walked by the search;
+        # walked here, they hold no labeling, so the walk alone proves the
+        # builtin minimum of 2.
+        choices = [ksset._PERMS[:1]] + [ksset._PERMS] * 8
+        assert ksset._walk(ks18, choices, [0, 1], lambda labels: True) is None
 
 
 class TestWalk:
-    """The labeling walk's work and its memory, on the builtin set."""
+    """The labeling walk's work and its memory."""
 
-    @pytest.mark.parametrize("search,most", [
-        (min_symbol_mismatch, 948),
-        (enumerate_valid_colorings, 403),
-    ], ids=["mismatch", "colorings"])
-    def test_nodes_visited(self, ks18, search, most):
-        # Calls of the walk's inner `walk`, one per node.  Leaving the first
-        # basis unpinned, say, takes the mismatch search to 22,476.
+    @pytest.mark.parametrize("path,search,nodes", [
+        (None, min_symbol_mismatch, 1299),
+        (None, enumerate_valid_colorings, 403),
+        (GOLDEN / "repeated.ks", min_symbol_mismatch, 34678),
+    ], ids=["mismatch", "colorings", "mismatch-repeated"])
+    def test_nodes_visited(self, ks18, path, search, nodes):
+        # Calls of the walk's inner `walk`, one per node.  On the builtin
+        # set the mismatch search starts at the minimum, and its first leaf
+        # lies under the identity, so leaving the first basis unpinned
+        # visits the same 1299 nodes.  `repeated.ks` has parity bound 0 and
+        # minimum 2, so bounds 0 and 1 are walked; unpinned, they take the
+        # search to 802,326 nodes.
+        ks = ks18 if path is None else parse_set_file(path.read_text(encoding="utf-8"))
         filename = ksset._walk.__code__.co_filename
-        nodes = 0
+        count = 0
 
         def profile(frame, event, arg):
-            nonlocal nodes
+            nonlocal count
             f = frame.f_code
             if event == "call" and f.co_name == "walk" and f.co_filename == filename:
-                nodes += 1
+                count += 1
 
         sys.setprofile(profile)
         try:
-            search(ks18)
+            search(ks)
         finally:
             sys.setprofile(None)
-        assert 0 < nodes <= most
+        assert count == nodes
 
     @pytest.mark.parametrize("search", [min_symbol_mismatch, enumerate_valid_colorings],
                              ids=["mismatch", "colorings"])

@@ -38,6 +38,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             SessionConfig(seed=-1)
 
+    def test_ball_rejects_noise(self, optimal_witness):
+        # The kernel ignores noise on ball rounds, so such a session would
+        # echo a noise it never applied.
+        ball = AdversarySpec("ball", optimal_witness.witness)
+        with pytest.raises(ValueError, match="^noise kind 'depolarizing' needs an "
+                                             "adversary kind other than 'ball'$"):
+            SessionConfig(noise=NoiseSpec("depolarizing", 0.5), adversary=ball)
+        assert SessionConfig(adversary=ball).noise.kind == "none"
+
     def test_substreams_are_independent(self):
         a = substream(5, "alice").random(4)
         b = substream(5, "bob").random(4)
