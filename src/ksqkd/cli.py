@@ -220,8 +220,10 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"need {condition}")
     # Every point's config is checked before the first session runs.
     configs = []
+    last = args.points - 1
     for i in range(args.points):
-        p = args.start + (args.stop - args.start) * i / (args.points - 1)
+        # The formula can round the last point past --stop, even out of [0, 1].
+        p = args.stop if i == last else args.start + (args.stop - args.start) * i / last
         try:
             configs.append(protocol.SessionConfig(
                 rounds=args.rounds,

@@ -8,27 +8,28 @@ cross-basis error rates sit strictly below 1/9.
 
 Randomness discipline: a master seed derives five independent named
 substreams (alice, bob, noise, adversary, check) via numpy
-``SeedSequence(seed, spawn_key=(index,))``, each consuming a fixed number
-of uniforms per round.  Toggling one component therefore never perturbs
-another component's draws, and the whole session is reproducible
-bit-for-bit from (config, seed).
+``SeedSequence(seed, spawn_key=(index,))``.  Alice, bob and check are
+drawn every round, noise and adversary only when that component is
+active.  Toggling one component never perturbs another's draws, and a
+session is reproducible bit-for-bit from (config, seed).
 
 A session runs in chunks of ``CHUNK_ROUNDS`` rounds, so its memory does
 not grow with the round count beyond its packed keys: half a byte per
 key round for both keys, about 0.06 B per round at the default check
-fraction.  Each chunk draws its next uniforms from the same five
-generators; consecutive ``random`` calls continue one stream, so the
-draws, and the report, are bit-for-bit those of one call over all
-rounds, at any chunk size.  A chunk is tallied by one count of its
-rounds' classes (sifted, check, cross-basis, error).  The report is the
-session's tally of those counts, and every figure of the report is read
-from it; its JSON is written in pieces, each key one chunk at a time.
+fraction.  Each chunk draws its next uniforms from the same generators;
+consecutive ``random`` calls continue one stream, so the draws, and the
+report, are bit-for-bit those of one call over all rounds, at any chunk
+size.  A chunk is tallied by one count of its rounds' classes (sifted,
+check, cross-basis, error).  The report is the session's tally of those
+counts, and every figure of the report is read from it; its JSON is
+written in pieces, each key one chunk at a time.
 
-The kernel's uniforms are freed before the check stream is drawn, and a
-chunk of 2^13 rounds peaks at about 111 B per round (0.9 MB).  On a
-2-core x86_64 host, against 2^14, 2^13 cut the peak RSS of a 10^6-round
-session from 38.0 to 37.1 MB at the same wall time (20 of 40 pairs
-faster); 2^12 cut 0.5 MB more but ran 3.6% slower (12 of 40 faster).
+The kernel's uniforms are freed on its return, before the check stream
+is drawn.  A chunk of 2^13 rounds peaks at about 86 B per round (0.7 MB)
+with the ball adversary, 111 B (0.9 MB) with intercept-resend and noise.
+On a 2-core x86_64 host, against 2^14, 2^13 cut the peak RSS of a
+10^6-round session from 38.0 to 37.1 MB at the same wall time (20 of 40
+pairs faster); 2^12 cut 0.5 MB more but ran 3.6% slower (12 of 40 faster).
 """
 
 from __future__ import annotations
@@ -146,17 +147,8 @@ def run_rounds(
         streams = substreams(config.seed)
     if count is None:
         count = config.rounds - start
-    ua = streams["alice"].random((count, 2))
-    ub = streams["bob"].random((count, 2))
-    un = streams["noise"].random((count, 2))
-    ue = streams["adversary"].random((count, 2))
-    columns = kernel.simulate_rounds(
-        tables, config.adversary, config.noise, ua, ub, un, ue
-    )
-    # The check stream is drawn after the kernel's uniforms are freed, so a
-    # chunk never holds both.  Every stream is drawn on its own, so the
-    # order changes no draw.
-    del ua, ub, un, ue
+    columns = kernel.simulate_rounds(tables, config.adversary, config.noise,
+                                     lambda name: streams[name].random((count, 2)))
     uc = streams["check"].random(count)
     return RoundLog(
         index=np.arange(start, start + count, dtype=np.int64),

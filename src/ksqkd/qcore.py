@@ -36,8 +36,13 @@ def exact_born(state, basis_amps) -> tuple[Fraction, ...]:
         ValueError: when the probabilities do not sum to 1, i.e. the basis
             is not complete and orthogonal in exact arithmetic.
     """
-    ns = exact_inner(state, state)
-    pairs = [(exact_inner(b, state) ** 2, exact_inner(b, b) * ns) for b in basis_amps]
+    s0, s1, s2, s3 = map(int, state)
+    ns = s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3
+    pairs = []
+    for b in basis_amps:
+        b0, b1, b2, b3 = map(int, b)
+        pairs.append(((b0 * s0 + b1 * s1 + b2 * s2 + b3 * s3) ** 2,
+                      (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) * ns))
     if not all(d for _, d in pairs):
         raise ZeroVectorError("zero vector in exact overlap")
     lcd = math.lcm(*(d for _, d in pairs))

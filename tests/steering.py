@@ -23,6 +23,11 @@ def sending(ks, vector_id):
     return centre(basis_index(ks, label), len(ks.bases)), centre(pos, 4)
 
 
+def draws(ua, ub, un, ue):
+    """The ``draw`` callable of ``kernel.simulate_rounds`` for given uniforms."""
+    return {"alice": ua, "bob": ub, "noise": un, "adversary": ue}.__getitem__
+
+
 def steer(ks, ua0, ua1, ub0, ub1, un0=0.5, un1=0.5, ue0=0.5, ue1=0.5,
           adversary=AdversarySpec(), noise=NoiseSpec()):
     """Kernel columns for rounds whose draws are given column by column.
@@ -37,5 +42,5 @@ def steer(ks, ua0, ua1, ub0, ub1, un0=0.5, un1=0.5, ue0=0.5, ue1=0.5,
     ))
     ua, ub, un, ue = (np.column_stack(cols[i:i + 2]) for i in range(0, 8, 2))
     return kernel.simulate_rounds(
-        kernel.build_tables(ks), adversary, noise, ua, ub, un, ue
+        kernel.build_tables(ks), adversary, noise, draws(ua, ub, un, ue)
     )

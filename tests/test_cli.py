@@ -284,6 +284,13 @@ class TestSweep:
             band = 3 * math.sqrt(max(expect * (1 - expect), 1e-9) / n_checks) + 1e-9
             assert abs(w - expect) <= band
 
+    def test_last_point_is_stop(self, run):
+        # 0.2 + 0.8 * 3 / 3 rounds to 1.0000000000000002, outside [0, 1].
+        code, out = run("sweep", "--start", "0.2", "--stop", "1.0", "--points", "4",
+                        "--rounds", "10")
+        assert code == 0
+        assert out.strip().split("\n")[-1].startswith("1.0,")
+
     def test_invalid_range_exit_2(self, capsys):
         # The message names the condition that failed, and only that one.
         for argv, condition in (

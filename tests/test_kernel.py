@@ -10,7 +10,7 @@ from ksqkd.channels import NoiseSpec
 from ksqkd.protocol import SessionConfig, run_rounds
 
 import oracles
-from steering import centre
+from steering import centre, draws
 
 # The four benchmark scenarios: (adversary kind, noise).  A ball session
 # takes no noise.
@@ -49,13 +49,34 @@ def spec(adv, optimal_witness):
 
 
 def assert_matches_reference(ks, adv, noise, ua, ub, un, ue):
-    args = (adv, noise, ua, ub, un, ue)
-    got = kernel.simulate_rounds(kernel.build_tables(ks), *args)
-    want = oracles.reference_round_columns(ks, *args)
+    got = kernel.simulate_rounds(kernel.build_tables(ks), adv, noise,
+                                 draws(ua, ub, un, ue))
+    want = oracles.reference_round_columns(ks, adv, noise, ua, ub, un, ue)
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].dtype == want[name].dtype, name
         assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec("depolarizing", 0.3)],
+                         ids=["clean", "noisy"])
+@pytest.mark.parametrize("adv,streams", [
+    ("none", {"alice", "bob"}),
+    ("ball", {"alice", "bob", "adversary"}),  # the ball ignores noise
+    ("intercept_resend", {"alice", "bob", "adversary"}),
+], ids=["none", "ball", "intercept_resend"])
+def test_draws_each_stream_it_reads_once(ks18, optimal_witness, adv, streams, noise):
+    if noise.kind == "depolarizing" and adv != "ball":
+        streams = streams | {"noise"}
+    asked = []
+
+    def draw(name):
+        asked.append(name)
+        return np.random.default_rng(len(asked)).random((100, 2))
+
+    kernel.simulate_rounds(kernel.build_tables(ks18), spec(adv, optimal_witness),
+                           noise, draw)
+    assert sorted(asked) == sorted(streams)
 
 
 def test_tables_fill_exact_born_slots(ks18):

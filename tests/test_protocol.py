@@ -25,6 +25,7 @@ from ksqkd.protocol import (
     run_rounds,
     run_session,
     substream,
+    substreams,
     wilson_interval,
 )
 
@@ -332,6 +333,15 @@ class TestRunSession:
         assert np.array_equal(a.alice_basis, b.alice_basis)
         assert np.array_equal(a.alice_state, b.alice_state)
         assert np.array_equal(a.bob_basis, b.bob_basis)
+
+    @pytest.mark.parametrize("adv,unread", [("ball", "noise"), ("none", "adversary")])
+    def test_unread_streams_are_not_drawn(self, optimal_witness, adv, unread):
+        witness = optimal_witness.witness if adv == "ball" else None
+        config = SessionConfig(rounds=1_000, seed=55, adversary=AdversarySpec(adv, witness))
+        streams = substreams(config.seed)
+        run_rounds(config, streams=streams)
+        assert (streams[unread].bit_generator.state
+                == substream(config.seed, unread).bit_generator.state)
 
 
 def intercept_noisy(rounds, seed):

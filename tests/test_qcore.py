@@ -12,7 +12,7 @@ from ksqkd.qcore import ZeroVectorError, canonical_int_amps, exact_inner
 
 import oracles
 from oracles import exact_overlap_sq
-from steering import basis_index, centre, sending, steer
+from steering import basis_index, centre, draws, sending, steer
 
 F = Fraction
 
@@ -165,11 +165,11 @@ class TestSampling:
         rng = np.random.default_rng(5)
         ua, ub, un, ue = rng.random((4, 300, 2))
         batch = kernel.simulate_rounds(tables, eve, NoiseSpec(),
-                                       ua, ub, un, ue)["bob_outcome"]
+                                       draws(ua, ub, un, ue))["bob_outcome"]
         single = [
-            kernel.simulate_rounds(tables, eve, NoiseSpec(),
-                                   ua[i:i + 1], ub[i:i + 1], un[i:i + 1],
-                                   ue[i:i + 1])["bob_outcome"][0]
+            kernel.simulate_rounds(tables, eve, NoiseSpec(), draws(
+                ua[i:i + 1], ub[i:i + 1], un[i:i + 1], ue[i:i + 1]
+            ))["bob_outcome"][0]
             for i in range(300)
         ]
         assert single == batch.tolist()
