@@ -235,6 +235,21 @@ class TestSimulate:
         assert out == "" and err.startswith("error: line 2: ")
         assert "basis I defined twice" in err
 
+    # A labeling must name exactly the nine bases a session runs on.
+    @pytest.mark.parametrize("drop,extra,message", [
+        ("II", "", "missing assignments for bases ['II']"),
+        (None, "basis X: 1 2 3 4\n", "assignments for unknown bases ['X']"),
+    ], ids=["without-II", "extra-X"])
+    def test_assignment_bases_certify_exit_2(self, capsys, tmp_path, ks18,
+                                             drop, extra, message):
+        a = tmp_path / "a.txt"
+        a.write_text("".join(f"basis {b.label}: 1 2 3 4\n"
+                             for b in ks18.bases if b.label != drop) + extra)
+        p = tmp_path / "ball.ini"
+        p.write_text(f"[adversary]\nkind = ball\nball_assignment = {a}\n")
+        assert main(["simulate", "--config", str(p), "--certify"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_non_utf8_config_certify_exit_2(self, capsys, tmp_path):
         # Exit 1 would read as INSECURE under --certify.
         p = tmp_path / "binary.ini"

@@ -129,6 +129,7 @@ BAD_CASES = {
             ("missing", MISSING / "config.ini"),
             ("noise-without-kind", BAD / "noise.ini"),
             ("assignment-without-ball", BAD / "assignment-without-ball.ini"),
+            ("optimal-without-ball", BAD / "optimal-without-ball.ini"),  # no file
             ("percent", BAD / "percent.ini"),  # a literal `%`, not interpolation
             ("ball-noise", BAD / "ball-noise.ini"),  # the ball ignores noise
         )
