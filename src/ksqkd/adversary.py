@@ -46,6 +46,8 @@ class AdversarySpec(_AdversarySpecFields):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if self.kind == "ball" and self.ball_assignment is None:
             raise ValueError("ball adversary requires a symbol assignment")
+        if self.kind != "ball" and self.ball_assignment is not None:
+            raise ValueError(f"ball_assignment needs adversary kind 'ball', not {self.kind!r}")
         return self
 
 

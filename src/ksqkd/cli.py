@@ -56,9 +56,8 @@ def load_config(path: str | None, seed_override: int | None = None) -> SessionCo
         # is rejected as unknown, not applied to every other section.
         parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
-            with open(path, encoding="utf-8") as fh:
-                parser.read_file(fh)
-        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            parser.read_string(_read(path, "config"), source=path)
+        except configparser.Error as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for section in parser.sections():
             if section not in _KEYS:
@@ -86,23 +85,21 @@ def load_config(path: str | None, seed_override: int | None = None) -> SessionCo
 def _load_adversary(section: dict) -> AdversarySpec:
     kind = section.get("kind", "none")
     if kind != "ball":
-        spec = AdversarySpec(kind=kind)
-        if "ball_assignment" in section:
-            raise ConfigError(
-                f"ball_assignment needs adversary kind 'ball', not {kind!r}"
-            )
-        return spec
+        return AdversarySpec(kind, section.get("ball_assignment"))
     source = section.get("ball_assignment", "optimal")
-    ks = ksset.builtin_ks18()
     if source == "optimal":
-        assignment = ksset.min_symbol_mismatch(ks).witness
+        assignment = ksset.min_symbol_mismatch(ksset.builtin_ks18()).witness
     else:
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read ball_assignment {source}: {exc}") from exc
-        assignment = ksset.parse_assignment_file(text, ks)
-    return AdversarySpec(kind="ball", ball_assignment=assignment)
+        assignment = ksset.parse_assignment_file(_read(source, "ball_assignment"))
+    return AdversarySpec(kind, assignment)
+
+
+def _read(path: str, what: str) -> str:
+    """The text of the input file at `path`, UTF-8 with or without a BOM."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _load_set(path: str | None):
@@ -110,11 +107,7 @@ def _load_set(path: str | None):
     if path is None:
         return ksset.builtin_ks18()
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read set {path}: {exc}") from exc
-    try:
-        return ksset.parse_set_file(text)
+        return ksset.parse_set_file(_read(path, "set"))
     except SetFormatError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -317,7 +310,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # One line, whatever the message: configparser's span several.
+        print("error:", *map(str.strip, str(exc).splitlines()), file=sys.stderr)
         return 2
 
 

@@ -515,11 +515,12 @@ def parse_set_file(text: str) -> KSSet:
     return build_set(basis_amps)
 
 
-def parse_assignment_file(text: str, ks: KSSet) -> SymbolAssignment:
+def parse_assignment_file(text: str) -> SymbolAssignment:
     """Parse ``basis <label>: s1 s2 s3 s4`` lines into a SymbolAssignment.
 
     Blank lines and ``#`` comments are ignored; a basis label given twice
-    is an error.
+    is an error.  Only the format is checked: which bases a labeling must
+    name is ``protocol.SessionConfig``'s rule.
     """
     symbols: dict[str, tuple[int, int, int, int]] = {}
 
@@ -534,10 +535,4 @@ def parse_assignment_file(text: str, ks: KSSet) -> SymbolAssignment:
         symbols[label] = syms
 
     _read_records(text, record)
-    missing = {b.label for b in ks.bases} - set(symbols)
-    if missing:
-        raise SetFormatError(f"missing assignments for bases {sorted(missing)}")
-    extra = set(symbols) - {b.label for b in ks.bases}
-    if extra:
-        raise SetFormatError(f"assignments for unknown bases {sorted(extra)}")
     return SymbolAssignment(symbols)

@@ -66,6 +66,15 @@ class SessionConfig:
     adversary: AdversarySpec = field(default_factory=AdversarySpec)
 
     def __post_init__(self):
+        # A session runs on the builtin set: its rounds read a ball labeling
+        # of each of its nine bases, and of no other.
+        if self.adversary.ball_assignment is not None:
+            labels = {label for label, _ in ksset.KS18_BASES}
+            named = set(self.adversary.ball_assignment.symbols)
+            if missing := sorted(labels - named):
+                raise ValueError(f"missing assignments for bases {missing}")
+            if unknown := sorted(named - labels):
+                raise ValueError(f"assignments for unknown bases {unknown}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0 <= self.seed < 2**64:

@@ -262,3 +262,11 @@ def test_adversary_spec_validation():
         AdversarySpec("ball")
     with pytest.raises(ValueError):
         AdversarySpec("mitm")
+
+
+# Only a ball reads a labeling; any other kind would echo one it never used.
+@pytest.mark.parametrize("kind", ["none", "intercept_resend"])
+def test_assignment_needs_ball(optimal_witness, kind):
+    with pytest.raises(ValueError, match=f"^ball_assignment needs adversary kind 'ball', "
+                                         f"not '{kind}'$"):
+        AdversarySpec(kind, optimal_witness.witness)

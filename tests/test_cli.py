@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ksqkd import adversary, kernel, ksset
-from ksqkd.cli import ConfigError, load_config, main
+from ksqkd.cli import ConfigError, build_parser, load_config, main
 
 BALL_CONFIG = """\
 [session]
@@ -404,6 +405,55 @@ class TestLocale:
         assert config["adversary"]["ball_assignment"] == {
             lab: list(syms) for lab, syms in optimal_witness.witness.symbols.items()
         }
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is not bad input."""
+
+    @pytest.mark.parametrize("marked", ["config", "set", "assignment"])
+    def test_same_output_as_without(self, capsys, tmp_path, ks18_text, optimal_witness,
+                                    marked):
+        files = {name: tmp_path / name for name in ("config", "set", "assignment")}
+        texts = {
+            "config": "[session]\nrounds = 1000\n[adversary]\nkind = ball\n"
+                      f"ball_assignment = {files['assignment']}\n",
+            "set": ks18_text,
+            "assignment": "".join(f"basis {lab}: {' '.join(map(str, syms))}\n"
+                                  for lab, syms in optimal_witness.witness.symbols.items()),
+        }
+        argv = (["verify", "--set", str(files["set"])] if marked == "set"
+                else ["simulate", "--config", str(files["config"])])
+        runs = []
+        for bom in ("", "\ufeff"):
+            for name, path in files.items():
+                path.write_text((bom if name == marked else "") + texts[name],
+                                encoding="utf-8")
+            runs.append((main(argv), *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][2] == ""
+
+
+class TestReadme:
+    """README's config example loads, and its command lines parse."""
+
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_config_example_loads(self, tmp_path):
+        (example,) = re.findall(r"```ini\n(.*?)```", self.README, re.DOTALL)
+        p = tmp_path / "session.ini"
+        p.write_text(example)
+        cfg = load_config(str(p))
+        assert (cfg.rounds, cfg.seed) == (100_000, 42)
+        assert cfg.noise.kind == "depolarizing" and cfg.adversary.kind == "intercept_resend"
+
+    def test_command_lines_parse(self):
+        section = self.README.split("## Command line\n", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+        lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+        assert all(argv[0] == "ksqkd" for argv in lines)
+        commands = {build_parser().parse_args(argv[1:]).command for argv in lines}
+        assert commands == {"verify", "color", "mismatch", "analyze", "simulate", "sweep",
+                            "intercept"}
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

@@ -130,6 +130,8 @@ BAD_CASES = {
             ("noise-without-kind", BAD / "noise.ini"),
             ("assignment-without-ball", BAD / "assignment-without-ball.ini"),
             ("optimal-without-ball", BAD / "optimal-without-ball.ini"),  # no file
+            ("no-section", BAD / "no-section.ini"),  # configparser's error spans lines
+            ("key-without-value", BAD / "key-without-value.ini"),
             ("percent", BAD / "percent.ini"),  # a literal `%`, not interpolation
             ("ball-noise", BAD / "ball-noise.ini"),  # the ball ignores noise
         )
@@ -164,6 +166,12 @@ def run_bad_input(argv):
 def test_bad_input_matches_golden(name):
     golden = json.loads((GOLDEN / "bad_input.json").read_text())
     assert run_bad_input(BAD_CASES[name]) == golden[name]
+
+
+@pytest.mark.parametrize("name", BAD_CASES)
+def test_bad_input_prints_one_error_line(name):
+    stderr = run_bad_input(BAD_CASES[name])["stderr"]
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr[-1] == "\n"
 
 
 # Runs the CLI in a fresh interpreter in which `import numpy` and

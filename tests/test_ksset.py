@@ -436,18 +436,14 @@ class TestSetFiles:
         text = "\n".join(
             f"basis {b.label}: 1 2 3 4" for b in ks18.bases
         )
-        a = parse_assignment_file(text, ks18)
+        a = parse_assignment_file(text)
         assert a.symbols["I"][0] == 1
+        # Only the format is parsed; which bases a labeling must name is
+        # SessionConfig's rule (test_protocol.py::TestConfig).
+        assert parse_assignment_file("basis X: 1 2 3 4").symbols == {"X": (1, 2, 3, 4)}
 
-    def test_assignment_file_missing_basis(self, ks18):
-        with pytest.raises(ksset.SetFormatError, match="missing assignments for bases"):
-            parse_assignment_file("basis I: 1 2 3 4", ks18)
-
-    def test_assignment_file_errors(self, ks18):
-        full = "".join(f"basis {b.label}: 1 2 3 4\n" for b in ks18.bases)
+    def test_assignment_file_errors(self):
         with pytest.raises(ksset.SetFormatError, match="unknown record kind 'vector'"):
-            parse_assignment_file("vector I: 1 2 3 4\n", ks18)
+            parse_assignment_file("vector I: 1 2 3 4\n")
         with pytest.raises(ksset.SetFormatError, match="expected 4 symbols"):
-            parse_assignment_file("basis I: 1 2 3\n", ks18)
-        with pytest.raises(ksset.SetFormatError, match=r"assignments for unknown bases \['X'\]"):
-            parse_assignment_file(full + "basis X: 1 2 3 4\n", ks18)
+            parse_assignment_file("basis I: 1 2 3\n")

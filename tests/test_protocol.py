@@ -10,6 +10,7 @@ import oracles
 from ksqkd import kernel, protocol
 from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
+from ksqkd.ksset import SymbolAssignment
 from ksqkd.protocol import (
     INDETERMINATE,
     INSECURE,
@@ -47,6 +48,24 @@ class TestConfig:
                                              "adversary kind other than 'ball'$"):
             SessionConfig(noise=NoiseSpec("depolarizing", 0.5), adversary=ball)
         assert SessionConfig(adversary=ball).noise.kind == "none"
+
+    # A session runs on the builtin set, whose rounds read a labeling of each
+    # of its nine bases and of no other.  The labeling is checked before
+    # every other field, so a config with two faults reports this one.
+    def test_ball_labeling_missing_basis(self, optimal_witness):
+        symbols = dict(optimal_witness.witness.symbols)
+        del symbols["II"]
+        ball = AdversarySpec("ball", SymbolAssignment(symbols))
+        for rounds in (1, 0):
+            with pytest.raises(ValueError, match=r"^missing assignments for bases \['II'\]$"):
+                SessionConfig(rounds=rounds, adversary=ball)
+
+    def test_ball_labeling_unknown_basis(self, optimal_witness):
+        symbols = {**optimal_witness.witness.symbols, "X": (1, 2, 3, 4)}
+        ball = AdversarySpec("ball", SymbolAssignment(symbols))
+        for rounds in (1, 0):
+            with pytest.raises(ValueError, match=r"^assignments for unknown bases \['X'\]$"):
+                SessionConfig(rounds=rounds, adversary=ball)
 
     def test_substreams_are_independent(self):
         a = substream(5, "alice").random(4)
