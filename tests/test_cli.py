@@ -1,3 +1,5 @@
+import atexit
+import gc
 import json
 import os
 import re
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ksqkd import adversary, kernel, ksset
+from ksqkd import adversary, cli, kernel, ksset
 from ksqkd.cli import ConfigError, build_parser, load_config, main
 
 BALL_CONFIG = """\
@@ -31,6 +33,14 @@ seed = 3
 kind = depolarizing
 p = 0.25
 """
+
+
+def child_env(**extra):
+    """This process's environment with `extra` set and the checkout's
+    `src` first on PYTHONPATH, for a child that runs the CLI."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, **extra, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 @pytest.fixture
@@ -364,6 +374,72 @@ class TestUnwritableOut:
         assert out == "" and err.startswith(f"error: cannot write {target}")
 
 
+class TestClosedStdout:
+    """A stdout that cannot be written is bad output, never a verdict."""
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["intercept", "simulate"])
+    def test_exits_2(self, tmp_path, command, buffered):
+        # `intercept` prints; `simulate` writes its report through `_emit`.
+        # Unbuffered, the first write fails; buffered, `main`'s flush does.
+        argv = ["intercept"]
+        if command == "simulate":
+            config = tmp_path / "c.ini"
+            config.write_text("[session]\nrounds = 1000\n")
+            argv = ["simulate", "--certify", "--config", str(config)]
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ksqkd.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env)
+        finally:
+            os.close(write_end)
+        # Exit 1 would read as INSECURE under --certify, and 120 is the
+        # interpreter's own code for a failed flush at exit.
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
+
+
+class TestFreezeAtExit:
+    """A CLI process freezes its heap as it exits, so the collections run
+    while the interpreter finalizes skip NumPy's objects; a caller that
+    runs `main` in-process keeps a normal heap."""
+
+    # Registered before `main` registers its own hook, so it runs after it.
+    CHILD = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        "from ksqkd.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize("argv,code", [
+        (["intercept"], 0),
+        (["--help"], 0),  # argparse's SystemExit
+        (["verify", "--set", "missing.ks"], 2),  # ConfigError
+    ], ids=["return", "help", "config-error"])
+    def test_child_exits_frozen(self, tmp_path, argv, code):
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == code
+        label, count = proc.stderr.splitlines()[-1].split()
+        assert label == "frozen" and int(count) > 0
+
+    def test_in_process_heap_not_frozen(self, run, monkeypatch):
+        # As in a process that has not run `main` yet.
+        monkeypatch.setattr(cli, "_freeze_at_exit", False)
+        hooks = atexit._ncallbacks()
+        for _ in range(2):
+            assert run("intercept")[0] == 0
+        assert gc.get_freeze_count() == 0
+        assert atexit._ncallbacks() == hooks + 1
+
+
 class TestLocale:
     """Input files are UTF-8 whatever the locale's encoding."""
 
@@ -372,12 +448,8 @@ class TestLocale:
     COMMENT = "# Kochen\u2013Specker\n"
 
     def run_in_c_locale(self, *argv):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, **self.ENV,
-                   PYTHONPATH=src + (os.pathsep + path if path else ""))
         return subprocess.run([sys.executable, "-m", "ksqkd.cli", *argv],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=child_env(**self.ENV))
 
     def test_set_file_with_non_ascii_comment(self, tmp_path, ks18_text):
         p = tmp_path / "ks18.ks"
@@ -474,9 +546,7 @@ class TestBlasThreads:
         that ran `simulate` with only `blas_env` of the BLAS variable."""
         config = tmp_path / "c.ini"
         config.write_text("[session]\nrounds = 1000\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        env = child_env()
         env.pop("OPENBLAS_NUM_THREADS", None)
         env.update(blas_env)
         proc = subprocess.run([sys.executable, "-c", self.CHILD, str(config)],

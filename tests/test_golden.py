@@ -153,13 +153,22 @@ BAD_CASES = {
 }
 
 
-def run_bad_input(argv):
-    """(exit code, stderr with the checkout path as a placeholder)."""
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of `main(argv)`, SystemExit included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert out.getvalue() == ""
-    return {"code": code, "stderr": err.getvalue().replace(CHECKOUT, "<checkout>")}
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_bad_input(argv):
+    """(exit code, stderr with the checkout path as a placeholder)."""
+    code, out, err = run_in_process(argv)
+    assert out == ""
+    return {"code": code, "stderr": err.replace(CHECKOUT, "<checkout>")}
 
 
 @pytest.mark.parametrize("name", BAD_CASES)
@@ -185,12 +194,17 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def run_without_numpy(argv):
+def child_env():
+    """This process's environment with the checkout's `src` first on
+    PYTHONPATH, for a child that runs the CLI."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def run_without_numpy(argv):
     return subprocess.run([sys.executable, "-c", NO_NUMPY, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
 
 
 @pytest.mark.parametrize("name", ["verify", "color", "mismatch", "analyze", "intercept",
@@ -206,6 +220,53 @@ def test_exact_commands_run_without_numpy(name):
 def test_help_runs_without_numpy():
     proc = run_without_numpy(["--help"])
     assert proc.returncode == 0, proc.stderr
+
+
+# `python -m ksqkd.cli` is how a shell runs the CLI: unlike the in-process
+# runs above, the interpreter exits after `main` returns or raises
+# SystemExit, and runs the exit hook `main` registers.  Its stdout (or
+# --out file) must be the golden, its stderr that of an in-process run,
+# and its exit code the stored one.  argparse's own exits
+# have no stored file, since its help text differs between Python
+# versions: they are held to the in-process run and to argparse's codes.
+OUT = "<out>"  # replaced by a file in the test's temporary directory
+ENTRY_CASES = {
+    "analyze": ["analyze", "--out", OUT],
+    "intercept": CASES["intercept"],
+    "simulate-intercept-noisy": CASES["simulate-intercept-noisy"],
+    "sweep": CASES["sweep"],
+    "config-missing": BAD_CASES["config-missing"],
+    "help": ["--help"],
+    "no-command": [],
+}
+ARGPARSE_CODES = {"help": 0, "no-command": 2}
+
+
+@pytest.mark.parametrize("name", ENTRY_CASES)
+def test_process_entry_matches_golden(monkeypatch, tmp_path, name):
+    out = tmp_path / "out.txt"
+    argv = [str(out) if arg == OUT else arg for arg in ENTRY_CASES[name]]
+    # argparse wraps its help to COLUMNS, or else to the terminal's width.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, stdout, stderr = run_in_process(argv)
+    out.unlink(missing_ok=True)
+    proc = subprocess.run([sys.executable, "-m", "ksqkd.cli", *argv],
+                          capture_output=True, env=child_env())
+    if name in ARGPARSE_CODES:
+        want = ARGPARSE_CODES[name], stdout.encode()
+    elif name in BAD_CASES:
+        want = json.loads((GOLDEN / "bad_input.json").read_text())[name]["code"], b""
+    else:
+        want = (json.loads((GOLDEN / "exit_codes.json").read_text())[name],
+                (GOLDEN / f"{name}.out").read_bytes())
+    if OUT in ENTRY_CASES[name]:
+        assert proc.stdout == b""
+        written = out.read_bytes()
+    else:
+        written = proc.stdout
+    assert (proc.returncode, written) == want
+    assert code == proc.returncode
+    assert proc.stderr.decode() == stderr
 
 
 if __name__ == "__main__":
