@@ -4,9 +4,10 @@ sweep / intercept.
 All outputs are machine-first (JSON or CSV), carry no timestamps, and are
 byte-reproducible from their inputs.  Exit codes: 0 success (or SECURE
 with --certify), 1 check failure / INSECURE, 2 bad input (including an
-unreadable input file, an unwritable --out or a closed stdout), 3
-INDETERMINATE.  A command raises ``ConfigError`` for bad input; only
-``main`` catches it, printing ``error: <message>`` to stderr and returning 2.
+unreadable input file, an unwritable --out, or a stdout that cannot be
+written: a closed pipe or a full device), 3 INDETERMINATE.  A command
+raises ``ConfigError`` for bad input; only ``main`` catches it, printing
+``error: <message>`` to stderr and returning 2.
 """
 
 from __future__ import annotations
@@ -114,10 +115,25 @@ def _load_set(path: str | None):
         raise ConfigError(str(exc)) from exc
 
 
-def _emit(write: Callable[[TextIO], object], out_path: str | None) -> None:
-    """Call `write` on stdout, or on `out_path` opened for writing."""
+def _emit(write: Callable[[TextIO], object], out_path: str | None = None) -> None:
+    """Call `write` on stdout, or on `out_path` opened for writing.
+
+    Every command writes its output here, so that a stdout that cannot be
+    written, a closed pipe or a full device, is bad output, not a traceback.
+    """
     if out_path is None:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            # Output stdout still buffers is written here, so that it fails
+            # inside this `try`, not in the flush at exit.
+            sys.stdout.flush()
+        except OSError as exc:
+            # The interpreter flushes stdout again at exit; that flush now
+            # writes to the null device and cannot change the exit code.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConfigError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -133,7 +149,7 @@ def _emit(write: Callable[[TextIO], object], out_path: str | None) -> None:
 def cmd_verify(args) -> int:
     ks = _load_set(args.set)
     report = ksset.verify_ks_structure(ks)
-    print(str(report))
+    _emit(lambda out: print(report, file=out))
     return 0 if report.ok else 1
 
 
@@ -141,7 +157,7 @@ def cmd_color(args) -> int:
     ks = _load_set(args.set)
     result = ksset.enumerate_valid_colorings(ks)
     doc = {"colorings": result.count, "list": [list(c) for c in result.colorings]}
-    print(json.dumps(doc, indent=2))
+    _emit(lambda out: print(json.dumps(doc, indent=2), file=out))
     return 0
 
 
@@ -153,7 +169,7 @@ def cmd_mismatch(args) -> int:
         "defective_ids": rep.defective_vector_ids,
         "witness": {lab: list(s) for lab, s in sorted(rep.witness.symbols.items())},
     }
-    print(json.dumps(doc, indent=2))
+    _emit(lambda out: print(json.dumps(doc, indent=2), file=out))
     return 0
 
 
@@ -255,7 +271,7 @@ def cmd_intercept(args) -> int:
         "w_overall_float": float(w_overall),
         "exceeds_threshold": w_overall > adversary.W_THRESHOLD,
     }
-    print(json.dumps(doc, indent=2))
+    _emit(lambda out: print(json.dumps(doc, indent=2), file=out))
     return 0
 
 
@@ -323,23 +339,11 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
-        # Output a pipe still buffers is written here, so that a closed
-        # stdout fails inside this `try`, not in the flush at exit.
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError as exc:
-        # The interpreter flushes stdout again at exit; that flush now
-        # writes to the null device and cannot change the exit code.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        message = f"cannot write stdout: {exc}"
+        return args.fn(args)
     except ConfigError as exc:
-        message = str(exc)
-    # One line, whatever the message: configparser's span several.
-    print("error:", *map(str.strip, message.splitlines()), file=sys.stderr)
-    return 2
+        # One line, whatever the message: configparser's span several.
+        print("error:", *map(str.strip, str(exc).splitlines()), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -101,27 +101,50 @@ def simulate_rounds(
 
     ``adversary`` and ``noise`` are the session config's specs, and
     ``draw(name)`` returns the named substream's next uniforms, float64[n, 2].
-    It is called once per stream read: ``alice`` and ``bob`` always,
-    ``adversary`` for ball and intercept-resend, ``noise`` for depolarizing
-    noise off the ball branch.  Column 0 of alice/bob picks each one's basis,
-    column 1 Alice's state and Bob's Born outcome.  The ball reads sifted
-    rounds' symbols from its labeling and ``adversary[:, 0]`` off-home;
-    intercept-resend picks Eve's basis and outcome from ``adversary``.  A
-    depolarized round (``noise[:, 0] < p``) reads a uniform symbol from
-    ``noise[:, 1]``.  Returns the RoundLog columns, keyed by field name.
+    It is called once per stream read, in this order: ``alice`` and ``bob``
+    always, ``noise`` for depolarizing noise off the ball branch,
+    ``adversary`` for ball and intercept-resend.  Each stream's uniforms are
+    read into their cells and dropped before the next stream is drawn, so
+    ``draw`` may hand back the same buffer each time.  Column 0 of
+    alice/bob picks each one's basis, column 1 Alice's state and Bob's Born
+    outcome.  The ball reads sifted rounds' symbols from its labeling and
+    ``adversary[:, 0]`` off-home; intercept-resend picks Eve's basis and
+    outcome from ``adversary``.  A depolarized round (``noise[:, 0] < p``)
+    reads a uniform symbol from ``noise[:, 1]``.  Returns the RoundLog
+    columns, keyed by field name.
     """
-    # Every draw comes before any temporary: drawn in their branches, the
-    # noisy intercept session re-faulted ~15,600 pages per 10^6 rounds.
-    ua, ub = draw("alice"), draw("bob")
-    noisy = noise.kind == "depolarizing" and adversary.kind != "ball"
-    un = draw("noise") if noisy else None
-    ue = draw("adversary") if adversary.kind != "none" else None
+    # Each stream is drawn, read into its int32 cells and freed before the
+    # next is drawn, so one float64[n, 2] block is alive at a time, not
+    # four.  Every draw is the same size and comes before the table
+    # gathers, so it gets back the block the one before it freed, at the
+    # same address chunk after chunk, and faults no page in again.  Drawn
+    # after the gathers, the noisy intercept session re-faulted ~15,600
+    # pages per 10^6 rounds.
     nb, den = len(tables.ks.bases), tables.den
-    ba = _cells(ua[:, 0], nb)
-    a = _cells(ua[:, 1], 4)
+    u = draw("alice")
+    ba = _cells(u[:, 0], nb)
+    a = _cells(u[:, 1], 4)
+    del u
+    u = draw("bob")
+    bb = _cells(u[:, 0], nb)
+    if adversary.kind != "ball":
+        s_bob = _cells(u[:, 1], den)
+    del u
+    noisy = noise.kind == "depolarizing" and adversary.kind != "ball"
+    if noisy:
+        u = draw("noise")
+        depolarized = u[:, 0] < noise.p
+        noise_sym = _cells(u[:, 1], 4) + 1
+        del u
+    if adversary.kind != "none":
+        u = draw("adversary")
+        if adversary.kind == "ball":
+            off_home = _cells(u[:, 0], 4) + 1
+        else:
+            eb, s_eve = _cells(u[:, 0], nb), _cells(u[:, 1], den)
+        del u
     a += 4 * ba
     v = tables.state.take(a)
-    bb = _cells(ub[:, 0], nb)
     p_pos = tables.sift_pos.take(a * nb + bb)
     sifted = p_pos >= 0
 
@@ -131,20 +154,19 @@ def simulate_rounds(
         symbols = np.array([labeling[b.label] for b in tables.ks.bases],
                            dtype=np.int32).ravel()
         # Unsifted rounds read cell 4 bb - 1 here; np.where discards them.
-        outcome = np.where(sifted, symbols.take(4 * bb + p_pos),
-                           _cells(ue[:, 0], 4) + 1)
+        outcome = np.where(sifted, symbols.take(4 * bb + p_pos), off_home)
         a_sym = np.where(sifted, symbols.take(a), 0)
     else:
         fwd = v
         if adversary.kind == "intercept_resend":
-            cell = (v * nb + _cells(ue[:, 0], nb)) * den
-            cell += _cells(ue[:, 1], den)
+            cell = (v * nb + eb) * den
+            cell += s_eve
             fwd = tables.forward.take(cell)
         cell = (fwd * nb + bb) * den
-        cell += _cells(ub[:, 1], den)
+        cell += s_bob
         outcome = tables.outcome.take(cell)
         if noisy:
-            outcome = np.where(un[:, 0] < noise.p, _cells(un[:, 1], 4) + 1, outcome)
+            outcome = np.where(depolarized, noise_sym, outcome)
         a_sym = p_pos + 1  # p_pos is -1 exactly when the round is unsifted
 
     return {

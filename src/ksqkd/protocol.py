@@ -24,9 +24,11 @@ check, cross-basis, error).  The report is the session's tally of those
 counts, and every figure of the report is read from it; its JSON is
 written in pieces, each key one chunk at a time.
 
-The kernel's uniforms are freed on its return, before the check stream
-is drawn.  A chunk of 2^13 rounds peaks at about 86 B per round (0.7 MB)
-with the ball adversary, 111 B (0.9 MB) with intercept-resend and noise.
+The kernel reads each substream's uniforms into int32 cells and frees
+them before it draws the next, so one stream's uniforms are alive at a
+time, and none once the check stream is drawn.  A chunk of 2^13 rounds
+peaks at about 42 B per round (0.34 MB) with the ball adversary, 59 B
+(0.48 MB) with intercept-resend and noise.
 On a 2-core x86_64 host, against 2^14, 2^13 cut the peak RSS of a
 10^6-round session from 38.0 to 37.1 MB at the same wall time (20 of 40
 pairs faster); 2^12 cut 0.5 MB more but ran 3.6% slower (12 of 40 faster).

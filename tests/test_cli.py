@@ -377,11 +377,10 @@ class TestUnwritableOut:
 class TestClosedStdout:
     """A stdout that cannot be written is bad output, never a verdict."""
 
-    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize("command", ["intercept", "simulate"])
-    def test_exits_2(self, tmp_path, command, buffered):
-        # `intercept` prints; `simulate` writes its report through `_emit`.
-        # Unbuffered, the first write fails; buffered, `main`'s flush does.
+    def run_into(self, tmp_path, command, buffered, stdout):
+        # `intercept` prints one JSON text, `simulate` writes its report in
+        # pieces, both through `_emit`.  Unbuffered, the first write fails;
+        # buffered, `_emit`'s flush does.
         argv = ["intercept"]
         if command == "simulate":
             config = tmp_path / "c.ini"
@@ -391,18 +390,44 @@ class TestClosedStdout:
         env.pop("PYTHONUNBUFFERED", None)
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.run([sys.executable, "-m", "ksqkd.cli", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, env=env)
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["intercept", "simulate"])
+    def test_exits_2(self, tmp_path, command, buffered):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run([sys.executable, "-m", "ksqkd.cli", *argv],
-                                  stdout=write_end, stderr=subprocess.PIPE,
-                                  text=True, env=env)
+            result = self.run_into(tmp_path, command, buffered, write_end)
         finally:
             os.close(write_end)
         # Exit 1 would read as INSECURE under --certify, and 120 is the
         # interpreter's own code for a failed flush at exit.
-        assert (proc.returncode, proc.stderr) == (
-            2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
+        assert result == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["intercept", "simulate"])
+    def test_full_device_exits_2(self, tmp_path, command, buffered):
+        # Every write to /dev/full fails with ENOSPC: not a broken pipe, but
+        # a stdout that cannot be written all the same.
+        with open("/dev/full", "w") as full:
+            result = self.run_into(tmp_path, command, buffered, full)
+        assert result == (
+            2, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+    def test_other_errors_are_not_stdout_errors(self, monkeypatch):
+        # Only a failed write of stdout is bad output; an OSError from
+        # anywhere else keeps its traceback.
+        def fail(ks):
+            raise OSError("not stdout")
+
+        monkeypatch.setattr(adversary, "exact_intercept_resend_w", fail)
+        with pytest.raises(OSError, match="not stdout"):
+            main(["intercept"])
 
 
 class TestFreezeAtExit:

@@ -79,6 +79,29 @@ def test_draws_each_stream_it_reads_once(ks18, optimal_witness, adv, streams, no
     assert sorted(asked) == sorted(streams)
 
 
+@pytest.mark.parametrize("adv,noise", SCENARIOS)
+def test_reads_each_stream_before_drawing_the_next(ks18, optimal_witness, adv, noise):
+    # Each stream is read into its cells before the next is drawn, so a
+    # `draw` that refills one shared buffer gives the columns that distinct
+    # arrays give.  A kernel that held two streams at once would read one
+    # stream's uniforms as another's.
+    rng = np.random.default_rng(11)
+    uniforms = {name: rng.random((1000, 2))
+                for name in ("alice", "bob", "noise", "adversary")}
+    shared = np.empty((1000, 2))
+
+    def refill(name):
+        np.copyto(shared, uniforms[name])
+        return shared
+
+    tables, adversary = kernel.build_tables(ks18), spec(adv, optimal_witness)
+    got = kernel.simulate_rounds(tables, adversary, noise, refill)
+    want = kernel.simulate_rounds(tables, adversary, noise, uniforms.__getitem__)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
 def test_tables_fill_exact_born_slots(ks18):
     t = kernel.build_tables(ks18)
     assert t.outcome.shape == (18 * 9 * t.den,)

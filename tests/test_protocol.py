@@ -424,18 +424,29 @@ def test_memory_does_not_grow_with_rounds(ks18):
     assert (large - small) / 3_000_000 < 0.1
 
 
-def test_chunk_working_set(ks18):
-    # The kernel runs on its 64 B of uniforms per round, which are freed
-    # before the check stream's 8 B are drawn; the log holds 31 B per
-    # round.  The kernel's int32 cell indices and flat-table reads may add
-    # little beyond that.  An int64 temporary per round column would not fit.
+def test_chunk_working_set(ks18, optimal_witness):
+    # The kernel reads each stream's 16 B of uniforms per round into its
+    # int32 cells before it draws the next, so one stream's uniforms are
+    # alive at a time, and they are freed before the check stream's 8 B are
+    # drawn; the log holds 31 B per round.  The peak is 59 B per round with
+    # intercept-resend and noise, 42 B with the ball and 47 B with noise
+    # alone.  A kernel that drew every stream before reading any peaked at
+    # 86-111 B, and an int64 temporary per round column would not fit either.
     tables = kernel.build_tables(ks18)
     rounds = protocol.CHUNK_ROUNDS
+    configs = {
+        "intercept-noisy": intercept_noisy(4 * rounds, 3),
+        "ball": SessionConfig(rounds=4 * rounds, seed=3,
+                              adversary=AdversarySpec("ball", optimal_witness.witness)),
+        "noisy": SessionConfig(rounds=4 * rounds, seed=3,
+                               noise=NoiseSpec("depolarizing", 0.05)),
+    }
     run_session(intercept_noisy(1, 3), tables)  # imports numpy.random
-    tracemalloc.start()
-    try:
-        run_session(intercept_noisy(rounds, 3), tables)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / rounds < 116
+    for name, config in configs.items():
+        tracemalloc.start()
+        try:
+            run_session(config, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / rounds <= 72, name
