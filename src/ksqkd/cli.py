@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import gc
+import io
 import json
 import os
 import sys
@@ -225,7 +227,6 @@ def cmd_sweep(args) -> int:
     for ok, condition in (
         (0.0 <= args.start <= args.stop <= 1.0, "0 <= start <= stop <= 1"),
         (args.points >= 2, "points >= 2"),
-        (args.rounds >= 1, "rounds >= 1"),
     ):
         if not ok:
             raise ConfigError(f"need {condition}")
@@ -319,6 +320,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse `argv`.  What argparse prints to stdout, its help, is written
+    through `_emit`, so a stdout that cannot take it is bad output too."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            return build_parser().parse_args(argv)
+    finally:
+        # Runs as argparse's SystemExit passes; a ConfigError replaces it.
+        if text := printed.getvalue():
+            _emit(lambda out: out.write(text))
+
+
 # Whether `main` has registered its exit hook in this process.
 _freeze_at_exit = False
 
@@ -337,8 +351,8 @@ def main(argv=None) -> int:
     # threads as NumPy loads, which costs about 65 ms of start-up.  A value
     # the caller set wins.  Reconsider this line if a command ever uses BLAS.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
     try:
+        args = _parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         # One line, whatever the message: configparser's span several.

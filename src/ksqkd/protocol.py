@@ -36,9 +36,7 @@ pairs faster); 2^12 cut 0.5 MB more but ran 3.6% slower (12 of 40 faster).
 
 from __future__ import annotations
 
-import io
 import json
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple, TextIO
@@ -137,27 +135,16 @@ def substreams(seed: int) -> dict[str, np.random.Generator]:
 
 def run_rounds(
     config: SessionConfig,
-    tables: KernelTables | None = None,
-    streams: dict[str, np.random.Generator] | None = None,
-    start: int = 0,
-    count: int | None = None,
+    tables: KernelTables,
+    streams: dict[str, np.random.Generator],
+    start: int,
+    count: int,
 ) -> RoundLog:
     """Simulate ``count`` rounds of a session, from round ``start`` on.
 
-    ``tables`` are the kernel tables of the set to run on; without them
-    the builtin set and its tables are built here.  ``streams`` are the
-    session's substreams, standing at round ``start``; without them they
-    are made here at round 0.  The defaults run every round of the
-    session.
+    ``tables`` are the kernel tables of the set to run on, and ``streams``
+    the session's substreams, standing at round ``start``.
     """
-    if tables is None:
-        tables = kernel.build_tables(ksset.builtin_ks18())
-    if streams is None:
-        if start:
-            raise ValueError("rounds after 0 need the session's streams")
-        streams = substreams(config.seed)
-    if count is None:
-        count = config.rounds - start
     columns = kernel.simulate_rounds(tables, config.adversary, config.noise,
                                      lambda name: streams[name].random((count, 2)))
     uc = streams["check"].random(count)
@@ -178,17 +165,6 @@ def iter_chunks(
     for start in range(0, config.rounds, CHUNK_ROUNDS):
         count = min(CHUNK_ROUNDS, config.rounds - start)
         yield run_rounds(config, tables, streams, start, count)
-
-
-def wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson 95% score interval for a binomial proportion."""
-    if n == 0:
-        return (0.0, 1.0)
-    phat = errors / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
-    return (max(0.0, center - half), min(1.0, center + half))
 
 
 def _rate(errors: int, n: int) -> float | None:
@@ -249,13 +225,6 @@ class CheckStats:
     def key_agreement_rate(self) -> float | None:
         """Share of key digits, sifted non-check rounds, the keys agree on."""
         return _rate(sum(self.counts[8:12:2]), sum(self.counts[8:12]))
-
-    def wilson(self) -> dict[str, tuple[float, float]]:
-        return {
-            "overall": wilson_interval(self.errors_overall, self.n_checks),
-            "same": wilson_interval(self.errors_same, self.n_same),
-            "cross": wilson_interval(self.errors_cross, self.n_cross),
-        }
 
 
 def estimate_error_stats(log: RoundLog) -> CheckStats:
@@ -353,19 +322,14 @@ class SessionReport(CheckStats):
     )
     JSON_TAIL = ("key_agreement_rate",)
 
-    def to_json(self, out: TextIO | None = None) -> str | None:
-        """The report as ``json.dumps(doc, indent=2)`` writes it, and a newline.
+    def to_json(self, out: TextIO) -> None:
+        """Write the report as ``json.dumps(doc, indent=2)`` writes it, and a newline.
 
         ``doc`` holds the ``JSON_HEAD`` figures, the config as a dict, then
         ``key_alice`` and ``key_bob``, then the ``JSON_TAIL`` figures.  The
         text is written to ``out`` in pieces, each key one chunk at a time
         (its digits need no escaping), so no whole key is ever built.
-        Without ``out`` the text is returned.
         """
-        if out is None:
-            out = io.StringIO()
-            self.to_json(out)
-            return out.getvalue()
         head = {name: getattr(self, name) for name in self.JSON_HEAD}
         head["config"] = self.config.to_dict()
         out.write("{\n" + _json_members(head) + ",\n")
@@ -376,7 +340,6 @@ class SessionReport(CheckStats):
             out.write('",\n')
         tail = {name: getattr(self, name) for name in self.JSON_TAIL}
         out.write(_json_members(tail) + "\n}\n")
-        return None
 
 
 def report_from_log(config: SessionConfig, logs: Iterable[RoundLog]) -> SessionReport:

@@ -1,8 +1,11 @@
-"""Hand-built uniform draws that steer the round kernel to chosen rounds."""
+"""Hand-built uniform draws that steer the round kernel to chosen rounds,
+and a whole session's log and report text in one call each."""
+
+import io
 
 import numpy as np
 
-from ksqkd import kernel
+from ksqkd import kernel, ksset, protocol
 from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
 
@@ -44,3 +47,17 @@ def steer(ks, ua0, ua1, ub0, ub1, un0=0.5, un1=0.5, ue0=0.5, ue1=0.5,
     return kernel.simulate_rounds(
         kernel.build_tables(ks), adversary, noise, draws(ua, ub, un, ue)
     )
+
+
+def session_log(config):
+    """Every round of a session on the builtin set, as one log."""
+    tables = kernel.build_tables(ksset.builtin_ks18())
+    return protocol.run_rounds(config, tables, protocol.substreams(config.seed),
+                               0, config.rounds)
+
+
+def report_text(report):
+    """The text ``report.to_json`` writes."""
+    out = io.StringIO()
+    report.to_json(out)
+    return out.getvalue()

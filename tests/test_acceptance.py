@@ -23,11 +23,11 @@ from ksqkd.cli import main
 from ksqkd.protocol import (
     SessionConfig,
     estimate_error_stats,
-    run_rounds,
     run_session,
 )
 
 import oracles
+from steering import session_log
 
 
 def announce(num, text):
@@ -175,7 +175,7 @@ def test_criterion_9_intercept_resend(ks18):
         rounds=n, seed=303, adversary=AdversarySpec("intercept_resend"),
     )
     report = run_session(config)
-    stats = estimate_error_stats(run_rounds(config))
+    stats = estimate_error_stats(session_log(config))
     for exact, got, m in (
         (w_same, stats.w_same, stats.n_same),
         (w_cross, stats.w_cross, stats.n_cross),
@@ -201,12 +201,12 @@ def test_criterion_10_determinism(capsys, optimal_witness):
         sweeps.append(capsys.readouterr().out)
     assert sweeps[0] == sweeps[1]
     # substream isolation: adversary toggle leaves Alice's draws alone
-    base = run_rounds(SessionConfig(rounds=20_000, seed=11))
+    base = session_log(SessionConfig(rounds=20_000, seed=11))
     for adv in (
         AdversarySpec("ball", optimal_witness.witness),
         AdversarySpec("intercept_resend"),
     ):
-        other = run_rounds(SessionConfig(rounds=20_000, seed=11, adversary=adv))
+        other = session_log(SessionConfig(rounds=20_000, seed=11, adversary=adv))
         assert np.array_equal(base.alice_basis, other.alice_basis)
         assert np.array_equal(base.alice_state, other.alice_state)
     with capsys.disabled():

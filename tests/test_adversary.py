@@ -8,11 +8,11 @@ import pytest
 from ksqkd import ksset, qcore
 from ksqkd.adversary import AdversarySpec, exact_intercept_resend_w
 from ksqkd.ksset import SymbolAssignment, build_set
-from ksqkd.protocol import SessionConfig, estimate_error_stats, run_rounds
+from ksqkd.protocol import SessionConfig, estimate_error_stats
 
 import oracles
 from oracles import expected_ball_attack_stats
-from steering import basis_index, centre, steer
+from steering import basis_index, centre, session_log, steer
 
 
 def make_assignment_with_defects(ks, witness, extra: int) -> SymbolAssignment:
@@ -211,7 +211,7 @@ class TestExactInterceptResend:
             rounds=200_000, seed=12, check_fraction=1.0,
             adversary=AdversarySpec("intercept_resend"),
         )
-        stats = estimate_error_stats(run_rounds(config))
+        stats = estimate_error_stats(session_log(config))
         for expect, got, n in (
             (w_same, stats.w_same, stats.n_same),
             (w_cross, stats.w_cross, stats.n_cross),
@@ -227,7 +227,7 @@ class TestBallAttackMonteCarlo:
             rounds=1_000_000, seed=6, check_fraction=1.0,
             adversary=AdversarySpec("ball", optimal_witness.witness),
         )
-        stats = estimate_error_stats(run_rounds(config))
+        stats = estimate_error_stats(session_log(config))
         assert stats.errors_same == 0
 
     @pytest.mark.parametrize("extra", [0, 1, 2])
@@ -242,7 +242,7 @@ class TestBallAttackMonteCarlo:
             rounds=1_000_000, seed=21 + extra, check_fraction=1.0,
             adversary=AdversarySpec("ball", assignment),
         )
-        stats = estimate_error_stats(run_rounds(config))
+        stats = estimate_error_stats(session_log(config))
         expect = d / 18
         assert abs(stats.w_cross - expect) <= 3 * math.sqrt(
             expect * (1 - expect) / stats.n_cross
@@ -251,7 +251,7 @@ class TestBallAttackMonteCarlo:
 
 def test_no_adversary_no_noise_is_error_free():
     stats = estimate_error_stats(
-        run_rounds(SessionConfig(rounds=100_000, seed=2, check_fraction=1.0))
+        session_log(SessionConfig(rounds=100_000, seed=2, check_fraction=1.0))
     )
     assert stats.errors_overall == 0
     assert stats.w_overall == 0.0 and stats.w_same == 0.0 and stats.w_cross == 0.0

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from ksqkd.channels import NoiseSpec
-from ksqkd.protocol import SessionConfig, run_rounds
+from ksqkd.protocol import SessionConfig
 
 import oracles
 from oracles import analytic_w
-from steering import basis_index, centre, sending, steer
+from steering import basis_index, centre, sending, session_log, steer
 
 
 class TestNoiseSpec:
@@ -127,7 +127,7 @@ def test_monte_carlo_w_matches_analytic():
     """Correct-basis error rate of a whole session at p = 0.2."""
     spec = NoiseSpec("depolarizing", 0.2)
     w_expect, _ = analytic_w(spec)
-    log = run_rounds(SessionConfig(rounds=400_000, seed=17, noise=spec))
+    log = session_log(SessionConfig(rounds=400_000, seed=17, noise=spec))
     errors = log.bob_outcome[log.sifted] != log.alice_symbol[log.sifted]
     total = errors.size
     w = errors.mean()

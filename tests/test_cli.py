@@ -323,8 +323,6 @@ class TestSweep:
             (("--start", "0.5", "--stop", "0.1", "--points", "3"),
              "0 <= start <= stop <= 1"),
             (("--start", "0", "--stop", "1", "--points", "1"), "points >= 2"),
-            (("--start", "0", "--stop", "1", "--points", "2", "--rounds", "0"),
-             "rounds >= 1"),
         ):
             assert main(["sweep", *argv]) == 2
             out, err = capsys.readouterr()
@@ -377,11 +375,14 @@ class TestUnwritableOut:
 class TestClosedStdout:
     """A stdout that cannot be written is bad output, never a verdict."""
 
+    COMMANDS = ["intercept", "simulate", "--help", "simulate --help"]
+
     def run_into(self, tmp_path, command, buffered, stdout):
         # `intercept` prints one JSON text, `simulate` writes its report in
-        # pieces, both through `_emit`.  Unbuffered, the first write fails;
-        # buffered, `_emit`'s flush does.
-        argv = ["intercept"]
+        # pieces, and argparse's help is written after it exits, all through
+        # `_emit`.  Unbuffered, the first write fails; buffered, `_emit`'s
+        # flush does.
+        argv = command.split()
         if command == "simulate":
             config = tmp_path / "c.ini"
             config.write_text("[session]\nrounds = 1000\n")
@@ -396,7 +397,7 @@ class TestClosedStdout:
         return proc.returncode, proc.stderr
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize("command", ["intercept", "simulate"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_exits_2(self, tmp_path, command, buffered):
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -410,7 +411,7 @@ class TestClosedStdout:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize("command", ["intercept", "simulate"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_full_device_exits_2(self, tmp_path, command, buffered):
         # Every write to /dev/full fails with ENOSPC: not a broken pipe, but
         # a stdout that cannot be written all the same.

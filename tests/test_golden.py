@@ -134,6 +134,10 @@ BAD_CASES = {
             ("key-without-value", BAD / "key-without-value.ini"),
             ("percent", BAD / "percent.ini"),  # a literal `%`, not interpolation
             ("ball-noise", BAD / "ball-noise.ini"),  # the ball ignores noise
+            # NaN fails every comparison, so a range check must reject it.
+            ("check-fraction-nan", BAD / "check-fraction-nan.ini"),
+            ("p-nan", BAD / "p-nan.ini"),
+            ("rounds-nan", BAD / "rounds-nan.ini"),
         )
     },
     **{
@@ -150,6 +154,8 @@ BAD_CASES = {
     "sweep-rounds": [*SWEEP, "--rounds", "0"],
     "sweep-check-fraction": [*SWEEP, "--check-fraction", "2"],
     "sweep-seed": [*SWEEP, "--seed", "-1"],
+    "sweep-start-nan": [*SWEEP, "--start", "nan"],
+    "sweep-check-fraction-nan": [*SWEEP, "--check-fraction", "nan"],
 }
 
 

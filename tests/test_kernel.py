@@ -7,10 +7,10 @@ import pytest
 from ksqkd import kernel, ksset, qcore
 from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
-from ksqkd.protocol import SessionConfig, run_rounds
+from ksqkd.protocol import SessionConfig
 
 import oracles
-from steering import centre, draws
+from steering import centre, draws, session_log
 
 # The four benchmark scenarios: (adversary kind, noise).  A ball session
 # takes no noise.
@@ -136,7 +136,7 @@ def test_positions_consistent_with_members(ks18):
 def test_matches_reference_loop(optimal_witness, adv, noise, seed):
     cfg = SessionConfig(rounds=50_000, seed=seed, noise=noise,
                         adversary=spec(adv, optimal_witness))
-    assert_logs_identical(run_rounds(cfg), oracles.reference_run_rounds(cfg))
+    assert_logs_identical(session_log(cfg), oracles.reference_run_rounds(cfg))
 
 
 @pytest.mark.parametrize("adv,noise", [

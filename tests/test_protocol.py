@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import oracles
 from ksqkd import kernel, protocol
 from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
@@ -27,8 +26,8 @@ from ksqkd.protocol import (
     run_session,
     substream,
     substreams,
-    wilson_interval,
 )
+from steering import report_text, session_log
 
 
 class TestConfig:
@@ -97,7 +96,7 @@ class TestConfig:
 class TestRunRound:
     def test_same_basis_round_error_free(self, ks18):
         config = SessionConfig(rounds=2000, seed=3, check_fraction=1.0)
-        log = run_rounds(config)
+        log = session_log(config)
         same = log.sifted & ~log.cross_basis
         assert same.any()
         pos = np.array([
@@ -108,13 +107,13 @@ class TestRunRound:
         assert np.array_equal(log.bob_outcome[same], log.alice_symbol[same])
 
     def test_cross_basis_round_error_free(self, ks18):
-        log = run_rounds(SessionConfig(rounds=5000, seed=3, check_fraction=1.0))
+        log = session_log(SessionConfig(rounds=5000, seed=3, check_fraction=1.0))
         cross = log.sifted & log.cross_basis
         assert cross.any()
         assert np.array_equal(log.bob_outcome[cross], log.alice_symbol[cross])
 
     def test_sifting_is_membership(self, ks18):
-        log = run_rounds(SessionConfig(rounds=5000, seed=9))
+        log = session_log(SessionConfig(rounds=5000, seed=9))
         for i in range(len(log)):
             members = ks18.bases[log.bob_basis[i]].members
             assert bool(log.sifted[i]) == (log.alice_state[i] in members)
@@ -123,9 +122,9 @@ class TestRunRound:
         # Round i of a session is the last round of the session cut to
         # i + 1 rounds: no round's draws depend on the round count.
         config = SessionConfig(rounds=200, seed=14)
-        log = run_rounds(config)
+        log = session_log(config)
         for i in (0, 57, 199):
-            short = run_rounds(dataclasses.replace(config, rounds=i + 1))
+            short = session_log(dataclasses.replace(config, rounds=i + 1))
             for f in dataclasses.fields(log):
                 assert getattr(short, f.name)[i] == getattr(log, f.name)[i], f.name
 
@@ -133,74 +132,45 @@ class TestRunRound:
 class TestSift:
     def test_rates(self):
         n = 1_000_000
-        log = run_rounds(SessionConfig(rounds=n, seed=31))
+        log = session_log(SessionConfig(rounds=n, seed=31))
         sift_rate = log.sifted.sum() / n
         assert abs(sift_rate - 2 / 9) <= 3 * math.sqrt((2 / 9) * (7 / 9) / n)
         same_rate = (log.sifted & ~log.cross_basis).sum() / n
         assert abs(same_rate - 1 / 9) <= 3 * math.sqrt((1 / 9) * (8 / 9) / n)
 
     def test_empty(self):
-        log = run_rounds(SessionConfig(rounds=1, seed=0))
+        log = session_log(SessionConfig(rounds=1, seed=0))
         assert len(log) == 1 and log.sifted.shape == (1,)
 
 
 class TestEstimateErrorStats:
     def test_ideal_channel(self):
         stats = estimate_error_stats(
-            run_rounds(SessionConfig(rounds=50_000, seed=4, check_fraction=1.0))
+            session_log(SessionConfig(rounds=50_000, seed=4, check_fraction=1.0))
         )
         assert stats.errors_overall == 0 and stats.w_overall == 0.0
 
     def test_check_fraction_zero_gives_undefined(self):
         stats = estimate_error_stats(
-            run_rounds(SessionConfig(rounds=10_000, seed=4, check_fraction=0.0))
+            session_log(SessionConfig(rounds=10_000, seed=4, check_fraction=0.0))
         )
         assert stats.n_checks == 0
         assert stats.w_overall is None and stats.w_cross is None
 
     def test_check_fraction_binomial(self):
-        log = run_rounds(SessionConfig(rounds=100_000, seed=4, check_fraction=0.3))
+        log = session_log(SessionConfig(rounds=100_000, seed=4, check_fraction=0.3))
         n_sifted = int(log.sifted.sum())
         n_checks = int(log.check.sum())
         assert abs(n_checks / n_sifted - 0.3) <= 3 * math.sqrt(0.3 * 0.7 / n_sifted)
 
     def test_depolarizing_w(self):
         p = 4 / 27
-        stats = estimate_error_stats(run_rounds(SessionConfig(
+        stats = estimate_error_stats(session_log(SessionConfig(
             rounds=1_000_000, seed=4, check_fraction=1.0,
             noise=NoiseSpec("depolarizing", p),
         )))
         w = 0.75 * p
         assert abs(stats.w_overall - w) <= 3 * math.sqrt(w * (1 - w) / stats.n_checks)
-
-    def test_wilson_interval_contains_rate(self):
-        lo, hi = wilson_interval(10, 100)
-        assert lo < 0.1 < hi
-        assert wilson_interval(0, 0) == (0.0, 1.0)
-
-    @pytest.mark.parametrize("k, n", [
-        (0, 1), (1, 1), (0, 5), (1, 3), (3, 10), (10, 100), (50, 60), (123, 4567),
-    ])
-    def test_wilson_interval_is_the_score_roots(self, k, n):
-        for got, expect in zip(wilson_interval(k, n), oracles.wilson_roots(k, n)):
-            assert abs(got - expect) <= 1e-12
-
-    def test_report_wilson_reads_its_tally(self):
-        config = SessionConfig(
-            rounds=20_000, seed=6, noise=NoiseSpec("depolarizing", 0.2),
-        )
-        log = run_rounds(config)
-        intervals = report_from_log(config, [log]).wilson()
-        error = log.bob_outcome != log.alice_symbol
-        for name, rounds in (
-            ("overall", log.check),
-            ("same", log.check & ~log.cross_basis),
-            ("cross", log.check & log.cross_basis),
-        ):
-            k, n = int((error & rounds).sum()), int(rounds.sum())
-            assert 0 < k < n
-            for got, expect in zip(intervals[name], oracles.wilson_roots(k, n)):
-                assert abs(got - expect) <= 1e-12, name
 
 
 class TestCertify:
@@ -251,18 +221,18 @@ class TestExtractKey:
     def keys(log):
         """Both keys and their agreement rate, as the log's report gives them."""
         report = report_from_log(SessionConfig(rounds=len(log)), [log])
-        doc = json.loads(report.to_json())
+        doc = json.loads(report_text(report))
         return doc["key_alice"], doc["key_bob"], doc["key_agreement_rate"]
 
     def test_ideal_keys_agree(self):
-        log = run_rounds(SessionConfig(rounds=20_000, seed=5))
+        log = session_log(SessionConfig(rounds=20_000, seed=5))
         key_a, key_b, agreement = self.keys(log)
         assert key_a == key_b and agreement == 1.0
         assert set(key_a) <= set("1234") and len(key_a) > 0
 
     def test_noise_reduces_agreement(self):
         p = 0.2
-        log = run_rounds(SessionConfig(
+        log = session_log(SessionConfig(
             rounds=1_000_000, seed=5, noise=NoiseSpec("depolarizing", p),
         ))
         key_a, key_b, agreement = self.keys(log)
@@ -274,7 +244,7 @@ class TestExtractKey:
         assert abs(agreement - expect) <= 3 * math.sqrt(expect * (1 - expect) / n)
 
     def test_no_rounds_yields_empty_keys(self):
-        log = run_rounds(SessionConfig(rounds=3, seed=13, check_fraction=1.0))
+        log = session_log(SessionConfig(rounds=3, seed=13, check_fraction=1.0))
         keep = log.sifted & ~log.check
         assert not keep.any()
         assert extract_key(log) == (b"", 0)
@@ -287,7 +257,7 @@ class TestRunSession:
         r = run_session(SessionConfig(rounds=100_000, seed=77))
         assert r.certified is True and r.w_overall == 0.0
         assert r.key_agreement_rate == 1.0
-        key_alice = json.loads(r.to_json())["key_alice"]
+        key_alice = json.loads(report_text(r))["key_alice"]
         assert len(key_alice) == r.rounds_sifted - r.checks_used
 
     def test_ball_attack_flagged(self, optimal_witness):
@@ -301,12 +271,12 @@ class TestRunSession:
 
     def test_reports_are_deterministic(self):
         cfg = SessionConfig(rounds=30_000, seed=99, noise=NoiseSpec("depolarizing", 0.1))
-        assert run_session(cfg).to_json() == run_session(cfg).to_json()
+        assert report_text(run_session(cfg)) == report_text(run_session(cfg))
 
     def test_report_json_round_trips(self):
         r = run_session(SessionConfig(rounds=5_000, seed=1))
-        doc = json.loads(r.to_json())
-        assert json.dumps(doc, indent=2) + "\n" == r.to_json()
+        doc = json.loads(report_text(r))
+        assert json.dumps(doc, indent=2) + "\n" == report_text(r)
         assert set(doc) == {
             "config", "rounds_total", "rounds_sifted", "sift_rate",
             "same_basis_rate", "checks_used", "w_overall", "w_same", "w_cross",
@@ -317,13 +287,13 @@ class TestRunSession:
         # Every count and rate of the report is invariant under a
         # permutation of the log rows; the keys follow the row order.
         cfg = SessionConfig(rounds=20_000, seed=8, noise=NoiseSpec("depolarizing", 0.2))
-        log = run_rounds(cfg)
+        log = session_log(cfg)
         perm = np.random.default_rng(0).permutation(len(log))
         shuffled = type(log)(**{
             f.name: getattr(log, f.name)[perm] for f in dataclasses.fields(log)
         })
-        a = json.loads(report_from_log(cfg, [log]).to_json())
-        b = json.loads(report_from_log(cfg, [shuffled]).to_json())
+        a = json.loads(report_text(report_from_log(cfg, [log])))
+        b = json.loads(report_text(report_from_log(cfg, [shuffled])))
         assert sorted(a.pop("key_alice")) == sorted(b.pop("key_alice"))
         assert sorted(a.pop("key_bob")) == sorted(b.pop("key_bob"))
         assert a == b
@@ -331,7 +301,7 @@ class TestRunSession:
     def test_substream_isolation_across_adversaries(self, optimal_witness):
         base = SessionConfig(rounds=10_000, seed=55)
         logs = [
-            run_rounds(SessionConfig(rounds=10_000, seed=55, adversary=adv))
+            session_log(SessionConfig(rounds=10_000, seed=55, adversary=adv))
             for adv in (
                 AdversarySpec("none"),
                 AdversarySpec("ball", optimal_witness.witness),
@@ -345,8 +315,8 @@ class TestRunSession:
             assert np.array_equal(logs[0].check, log.check)
 
     def test_substream_isolation_across_noise(self):
-        a = run_rounds(SessionConfig(rounds=10_000, seed=55))
-        b = run_rounds(SessionConfig(
+        a = session_log(SessionConfig(rounds=10_000, seed=55))
+        b = session_log(SessionConfig(
             rounds=10_000, seed=55, noise=NoiseSpec("depolarizing", 0.5),
         ))
         assert np.array_equal(a.alice_basis, b.alice_basis)
@@ -354,11 +324,11 @@ class TestRunSession:
         assert np.array_equal(a.bob_basis, b.bob_basis)
 
     @pytest.mark.parametrize("adv,unread", [("ball", "noise"), ("none", "adversary")])
-    def test_unread_streams_are_not_drawn(self, optimal_witness, adv, unread):
+    def test_unread_streams_are_not_drawn(self, ks18, optimal_witness, adv, unread):
         witness = optimal_witness.witness if adv == "ball" else None
         config = SessionConfig(rounds=1_000, seed=55, adversary=AdversarySpec(adv, witness))
         streams = substreams(config.seed)
-        run_rounds(config, streams=streams)
+        run_rounds(config, kernel.build_tables(ks18), streams, 0, config.rounds)
         assert (streams[unread].bit_generator.state
                 == substream(config.seed, unread).bit_generator.state)
 
@@ -386,23 +356,19 @@ class TestChunks:
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 15, N])
     def test_report_does_not_depend_on_chunk_size(self, monkeypatch, config, chunk):
-        whole = report_from_log(config, [run_rounds(config)]).to_json()
+        whole = report_text(report_from_log(config, [session_log(config)]))
         monkeypatch.setattr(protocol, "CHUNK_ROUNDS", chunk)
-        assert run_session(config).to_json() == whole
+        assert report_text(run_session(config)) == whole
 
     def test_chunk_logs_concatenate_to_the_session_log(self, monkeypatch, config):
         monkeypatch.setattr(protocol, "CHUNK_ROUNDS", 7)
         chunks = list(iter_chunks(config))
         assert [len(c) for c in chunks] == [7] * (self.N // 7) + [self.N % 7]
-        whole = run_rounds(config)
+        whole = session_log(config)
         for f in dataclasses.fields(whole):
             joined = np.concatenate([getattr(c, f.name) for c in chunks])
             assert joined.dtype == getattr(whole, f.name).dtype, f.name
             assert np.array_equal(joined, getattr(whole, f.name)), f.name
-
-    def test_later_rounds_need_the_session_streams(self):
-        with pytest.raises(ValueError):
-            run_rounds(SessionConfig(rounds=10, seed=1), start=3)
 
 
 def test_memory_does_not_grow_with_rounds(ks18):
