@@ -50,6 +50,11 @@ class AdversarySpec(_AdversarySpecFields):
             raise ValueError(f"ball_assignment needs adversary kind 'ball', not {self.kind!r}")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: construct through `__new__`'s checks.
+        return cls(*iterable)
+
 
 def exact_intercept_resend_w(ks: KSSet) -> tuple[Fraction, Fraction, Fraction]:
     """Exact (w_same, w_cross, w_overall) of intercept-resend by enumeration.

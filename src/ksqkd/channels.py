@@ -35,3 +35,8 @@ class NoiseSpec(_NoiseSpecFields):
         if self.kind == "none" and self.p != 0:
             raise ValueError(f"noise probability {self.p} needs a noise kind other than 'none'")
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: construct through `__new__`'s checks.
+        return cls(*iterable)

@@ -19,13 +19,15 @@ reads every column with ``ndarray.take`` from a flat table that
 ray by ``(v, eb, s)`` and Bob's outcome by ``(ray, bb, s)``.
 
 The kernel takes the session config's specs as they are, and draws the
-uniforms of only the substreams its branch reads.
+uniforms of only the substreams its branch reads.  The tables and their
+set are one ``KernelTables``, a ``typing.NamedTuple`` like every ksqkd
+record.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +36,7 @@ from .channels import NoiseSpec
 from .ksset import KSSet, born_table
 
 
-@dataclass(frozen=True)
-class KernelTables:
+class KernelTables(NamedTuple):
     """The flat integer tables ``simulate_rounds`` reads, with their set.
 
     An incidence ``a = 4 ba + pos`` is Alice's (basis, position) pair;

@@ -302,6 +302,11 @@ class SymbolAssignment(_SymbolAssignmentFields):
                 raise ValueError(f"basis {lab}: symbols {syms} not a bijection")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: construct through `__new__`'s checks.
+        return cls(*iterable)
+
     def vector_symbols(self, ks: KSSet, vector_id: int) -> tuple[int, ...]:
         """The symbols a vector receives in each of its home bases."""
         return tuple(
@@ -478,7 +483,8 @@ def parse_set_file(text: str) -> KSSet:
 
     Records: ``vector <id>: a1 a2 a3 a4`` and ``basis <label>: id1 id2 id3 id4``.
     Blank lines and ``#`` comments are ignored; a vector id or basis
-    label defined twice is an error.
+    label defined twice, a basis naming an undefined vector and a vector
+    no basis names are errors.
     """
     vecs: dict[int, tuple[int, int, int, int]] = {}
     basis_ids: dict[str, tuple[int, ...]] = {}
@@ -512,6 +518,9 @@ def parse_set_file(text: str) -> KSSet:
         ]
     except KeyError as exc:
         raise SetFormatError(f"basis references unknown vector id {exc}") from exc
+    named = {i for ids in basis_ids.values() for i in ids}
+    if unnamed := sorted(vecs.keys() - named):
+        raise SetFormatError(f"vector {unnamed[0]} is in no basis")
     return build_set(basis_amps)
 
 

@@ -32,13 +32,19 @@ peaks at about 42 B per round (0.34 MB) with the ball adversary, 59 B
 On a 2-core x86_64 host, against 2^14, 2^13 cut the peak RSS of a
 10^6-round session from 38.0 to 37.1 MB at the same wall time (20 of 40
 pairs faster); 2^12 cut 0.5 MB more but ran 3.6% slower (12 of 40 faster).
+
+Every record here is declared as the package's others are, a
+``typing.NamedTuple``: ``SessionConfig`` checks its fields in ``__new__``,
+and ``CheckStats`` and ``SessionReport`` share their figures through one
+mixin.  ``RoundLog`` is a ``types.SimpleNamespace`` whose ``vars`` are
+its nine columns.  No record needs ``dataclasses``, so no command imports it.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -57,15 +63,19 @@ STREAM_INDEX = {"alice": 0, "bob": 1, "noise": 2, "adversary": 3, "check": 4}
 CHUNK_ROUNDS = 1 << 13
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class _SessionConfigFields(NamedTuple):
     rounds: int = 100_000
     seed: int = 0
     check_fraction: float = 0.5
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    adversary: AdversarySpec = field(default_factory=AdversarySpec)
+    noise: NoiseSpec = NoiseSpec()
+    adversary: AdversarySpec = AdversarySpec()
 
-    def __post_init__(self):
+
+class SessionConfig(_SessionConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # A session runs on the builtin set: its rounds read a ball labeling
         # of each of its nine bases, and of no other.
         if self.adversary.ball_assignment is not None:
@@ -86,6 +96,12 @@ class SessionConfig:
         if self.noise.kind != "none" and self.adversary.kind == "ball":
             raise ValueError(f"noise kind {self.noise.kind!r} needs an adversary "
                              "kind other than 'ball'")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: construct through `__new__`'s checks.
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         adv: dict = {"kind": self.adversary.kind}
@@ -110,19 +126,16 @@ def substream(seed: int, name: str) -> np.random.Generator:
     )
 
 
-@dataclass
-class RoundLog:
-    """Columnar transcript of a session's rounds."""
+class RoundLog(SimpleNamespace):
+    """Columnar transcript of a session's rounds: nine arrays, one row a round.
 
-    index: np.ndarray         # round number 0..n-1
-    alice_basis: np.ndarray   # basis index 0..8
-    alice_state: np.ndarray   # vector id
-    bob_basis: np.ndarray     # basis index 0..8
-    bob_outcome: np.ndarray   # 1..4
-    sifted: np.ndarray        # bool
-    check: np.ndarray         # bool (sifted check rounds)
-    alice_symbol: np.ndarray  # 1..4 when sifted, 0 otherwise
-    cross_basis: np.ndarray   # bool, meaningful only when sifted
+    ``index`` is the round number 0..n-1; ``alice_basis`` and ``bob_basis``
+    are basis indices 0..8; ``alice_state`` is a vector id;
+    ``bob_outcome`` is 1..4; ``sifted`` and ``check`` (sifted check
+    rounds) are bool; ``alice_symbol`` is 1..4 when sifted, 0 otherwise;
+    ``cross_basis`` is bool, meaningful only when sifted.  ``vars(log)``
+    is exactly those nine columns.
+    """
 
     def __len__(self):
         return len(self.index)
@@ -171,21 +184,10 @@ def _rate(errors: int, n: int) -> float | None:
     return errors / n if n > 0 else None
 
 
-@dataclass(frozen=True)
-class CheckStats:
-    """A tally of rounds per class, and every figure read from it.
+class _Tally:
+    """The figures of ``counts``, shared by ``CheckStats`` and ``SessionReport``."""
 
-    ``counts[8*sifted + 4*check + 2*cross + error]`` is the number of
-    rounds in that class, as 16 ints: sifted rounds have codes 8-15, check
-    rounds 12-15, cross-basis check rounds 14-15, and errors odd codes.
-    ``check`` and ``cross`` count only on sifted rounds.  An error is a
-    round whose outcome differs from Alice's symbol; on a sifted non-check
-    round that is a key digit the keys disagree on.  Rates are None when
-    their conditioning class is empty: an absent statistic is undefined,
-    never silently zero.
-    """
-
-    counts: tuple[int, ...]
+    __slots__ = ()
 
     rounds_total = property(lambda self: sum(self.counts))
     rounds_sifted = property(lambda self: sum(self.counts[8:]))
@@ -227,6 +229,26 @@ class CheckStats:
         return _rate(sum(self.counts[8:12:2]), sum(self.counts[8:12]))
 
 
+class _CheckStatsFields(NamedTuple):
+    counts: tuple[int, ...]
+
+
+class CheckStats(_Tally, _CheckStatsFields):
+    """A tally of rounds per class, and every figure read from it.
+
+    ``counts[8*sifted + 4*check + 2*cross + error]`` is the number of
+    rounds in that class, as 16 ints: sifted rounds have codes 8-15, check
+    rounds 12-15, cross-basis check rounds 14-15, and errors odd codes.
+    ``check`` and ``cross`` count only on sifted rounds.  An error is a
+    round whose outcome differs from Alice's symbol; on a sifted non-check
+    round that is a key digit the keys disagree on.  Rates are None when
+    their conditioning class is empty: an absent statistic is undefined,
+    never silently zero.
+    """
+
+    __slots__ = ()
+
+
 def estimate_error_stats(log: RoundLog) -> CheckStats:
     """A log's tally: its rounds per class code of ``CheckStats``, in one count."""
     sifted, check, cross = (
@@ -247,7 +269,7 @@ class Verdict(NamedTuple):
         return self.verdict == SECURE
 
 
-def certify(stats: CheckStats) -> Verdict:
+def certify(stats: _Tally) -> Verdict:
     """SECURE iff both w_overall and w_cross are strictly below 1/9.
 
     The dual test exists because the ball attack's trace concentrates in
@@ -302,8 +324,13 @@ def _json_members(doc: dict) -> str:
     return json.dumps(doc, indent=2)[2:-2]
 
 
-@dataclass(frozen=True)
-class SessionReport(CheckStats):
+class _SessionReportFields(NamedTuple):
+    counts: tuple[int, ...]
+    config: SessionConfig
+    packed_keys: tuple[tuple[bytes, int], ...]
+
+
+class SessionReport(_Tally, _SessionReportFields):
     """A session's tally with its config and its two keys.
 
     ``counts`` is the sum of the chunks' ``estimate_error_stats`` counts,
@@ -311,8 +338,7 @@ class SessionReport(CheckStats):
     packs them, half a byte per round for both keys.
     """
 
-    config: SessionConfig
-    packed_keys: tuple[tuple[bytes, int], ...]
+    __slots__ = ()
 
     # The JSON members before the two keys and after them, in order.
     JSON_HEAD = (

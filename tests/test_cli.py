@@ -375,13 +375,16 @@ class TestUnwritableOut:
 class TestClosedStdout:
     """A stdout that cannot be written is bad output, never a verdict."""
 
-    COMMANDS = ["intercept", "simulate", "--help", "simulate --help"]
+    COMMANDS = ["verify", "color", "mismatch", "analyze", "intercept", "simulate",
+                "sweep --start 0 --stop 0.3 --points 2 --rounds 1000",
+                "--help", "simulate --help"]
 
     def run_into(self, tmp_path, command, buffered, stdout):
-        # `intercept` prints one JSON text, `simulate` writes its report in
-        # pieces, and argparse's help is written after it exits, all through
-        # `_emit`.  Unbuffered, the first write fails; buffered, `_emit`'s
-        # flush does.
+        # Every command writes through `_emit`: `verify` prints its text,
+        # `color`, `mismatch` and `intercept` print one JSON text, `analyze`
+        # and `sweep` write theirs whole, `simulate` writes its report in
+        # pieces, and argparse's help is written after it exits.  Unbuffered,
+        # the first write fails; buffered, `_emit`'s flush does.
         argv = command.split()
         if command == "simulate":
             config = tmp_path / "c.ini"

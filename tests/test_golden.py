@@ -8,7 +8,8 @@ stderr, with the checkout path written as ``<checkout>``.  The files are
 written once from a trusted tree with
 ``PYTHONPATH=src python tests/test_golden.py`` and only compared
 afterwards.  The commands that need only exact arithmetic must give the
-same output with NumPy and ``dataclasses`` unimportable.
+same output with NumPy and ``dataclasses`` unimportable, and ``simulate``
+and ``sweep`` with ``dataclasses`` unimportable.
 """
 
 import contextlib
@@ -119,6 +120,7 @@ BAD_CASES = {
     "set-non-utf8": ["color", "--set", str(BAD / "binary.ks")],
     "set-missing": ["mismatch", "--set", str(MISSING / "set.ks")],
     "set-directory": ["verify", "--set", str(BAD)],
+    "set-vector-in-no-basis": ["verify", "--set", str(BAD / "unnamed-vector.ks")],
     **{
         f"config-{name}": ["simulate", "--certify", "--config", str(path)]
         for name, path in (
@@ -189,12 +191,12 @@ def test_bad_input_prints_one_error_line(name):
     assert stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr[-1] == "\n"
 
 
-# Runs the CLI in a fresh interpreter in which `import numpy` and
-# `import dataclasses` fail.
-NO_NUMPY = """\
+# Runs the CLI in a fresh interpreter in which importing any module that
+# its first argument names, comma-separated, fails.
+WITHOUT = """\
 import sys
-sys.modules["numpy"] = None
-sys.modules["dataclasses"] = None
+for name in sys.argv.pop(1).split(","):
+    sys.modules[name] = None
 from ksqkd.cli import main
 sys.exit(main(sys.argv[1:]))
 """
@@ -208,9 +210,13 @@ def child_env():
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
-def run_without_numpy(argv):
-    return subprocess.run([sys.executable, "-c", NO_NUMPY, *argv],
+def run_without(modules: str, argv):
+    return subprocess.run([sys.executable, "-c", WITHOUT, modules, *argv],
                           capture_output=True, text=True, env=child_env())
+
+
+def run_without_numpy(argv):
+    return run_without("numpy,dataclasses", argv)
 
 
 @pytest.mark.parametrize("name", ["verify", "color", "mismatch", "analyze", "intercept",
@@ -226,6 +232,16 @@ def test_exact_commands_run_without_numpy(name):
 def test_help_runs_without_numpy():
     proc = run_without_numpy(["--help"])
     assert proc.returncode == 0, proc.stderr
+
+
+# The NumPy commands declare their records as the exact ones do, with no
+# `dataclasses`.
+@pytest.mark.parametrize("name", ["simulate-intercept-noisy", "sweep"])
+def test_numpy_commands_run_without_dataclasses(name):
+    proc = run_without("dataclasses", CASES[name])
+    assert proc.stderr == ""
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
+    assert proc.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
 
 
 # `python -m ksqkd.cli` is how a shell runs the CLI: unlike the in-process

@@ -428,6 +428,8 @@ class TestSetFiles:
             parse_set_file("vector 0: 1 0 0 0\nbasis I: 0 0 0\n")
         with pytest.raises(ksset.SetFormatError, match="unknown record kind 'ray'"):
             parse_set_file("ray 0: 1 0 0 0\nbasis I: 0 0 0 0\n")
+        with pytest.raises(ksset.SetFormatError, match="^vector 7 is in no basis$"):
+            parse_set_file("vector 0: 1 0 0 0\nvector 7: 0 1 0 0\nbasis I: 0 0 0 0\n")
         # Blank lines and comments are skipped, so no basis record is left.
         with pytest.raises(ksset.SetFormatError, match="no basis records found"):
             parse_set_file("# basis I: 0 0 0 0\n\n   \nvector 0: 1 0 0 0  # one ray\n")

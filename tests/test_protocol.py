@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -66,6 +65,20 @@ class TestConfig:
             with pytest.raises(ValueError, match=r"^assignments for unknown bases \['X'\]$"):
                 SessionConfig(rounds=rounds, adversary=ball)
 
+    # namedtuple's `_replace` builds through `_make`, which skips a
+    # subclass's `__new__` unless the record routes it back there.
+    @pytest.mark.parametrize("record,change,message", [
+        (SessionConfig(), {"rounds": 0}, r"^rounds must be >= 1$"),
+        (NoiseSpec("depolarizing", 0.1), {"p": float("nan")},
+         r"^noise probability nan outside \[0, 1\]$"),
+        (AdversarySpec(), {"kind": "bogus"}, r"^unknown adversary kind 'bogus'$"),
+        (SymbolAssignment({"I": (1, 2, 3, 4)}), {"symbols": {"I": (1, 1, 2, 3)}},
+         r"^basis I: symbols \(1, 1, 2, 3\) not a bijection$"),
+    ], ids=["SessionConfig", "NoiseSpec", "AdversarySpec", "SymbolAssignment"])
+    def test_replace_validates(self, record, change, message):
+        with pytest.raises(ValueError, match=message):
+            record._replace(**change)
+
     def test_substreams_are_independent(self):
         a = substream(5, "alice").random(4)
         b = substream(5, "bob").random(4)
@@ -124,9 +137,9 @@ class TestRunRound:
         config = SessionConfig(rounds=200, seed=14)
         log = session_log(config)
         for i in (0, 57, 199):
-            short = session_log(dataclasses.replace(config, rounds=i + 1))
-            for f in dataclasses.fields(log):
-                assert getattr(short, f.name)[i] == getattr(log, f.name)[i], f.name
+            short = session_log(SessionConfig(rounds=i + 1, seed=config.seed))
+            for name, column in vars(log).items():
+                assert getattr(short, name)[i] == column[i], name
 
 
 class TestSift:
@@ -289,9 +302,7 @@ class TestRunSession:
         cfg = SessionConfig(rounds=20_000, seed=8, noise=NoiseSpec("depolarizing", 0.2))
         log = session_log(cfg)
         perm = np.random.default_rng(0).permutation(len(log))
-        shuffled = type(log)(**{
-            f.name: getattr(log, f.name)[perm] for f in dataclasses.fields(log)
-        })
+        shuffled = type(log)(**{name: column[perm] for name, column in vars(log).items()})
         a = json.loads(report_text(report_from_log(cfg, [log])))
         b = json.loads(report_text(report_from_log(cfg, [shuffled])))
         assert sorted(a.pop("key_alice")) == sorted(b.pop("key_alice"))
@@ -365,10 +376,10 @@ class TestChunks:
         chunks = list(iter_chunks(config))
         assert [len(c) for c in chunks] == [7] * (self.N // 7) + [self.N % 7]
         whole = session_log(config)
-        for f in dataclasses.fields(whole):
-            joined = np.concatenate([getattr(c, f.name) for c in chunks])
-            assert joined.dtype == getattr(whole, f.name).dtype, f.name
-            assert np.array_equal(joined, getattr(whole, f.name)), f.name
+        for name, column in vars(whole).items():
+            joined = np.concatenate([getattr(c, name) for c in chunks])
+            assert joined.dtype == column.dtype, name
+            assert np.array_equal(joined, column), name
 
 
 def test_memory_does_not_grow_with_rounds(ks18):
