@@ -2,7 +2,9 @@
 sweep / intercept.
 
 All outputs are machine-first (JSON or CSV), carry no timestamps, and are
-byte-reproducible from their inputs.  Exit codes: 0 success (or SECURE
+byte-reproducible from their inputs.  All stdout is ASCII whatever the
+locale: JSON escapes non-ASCII text, and ``verify`` escapes it as Python's
+``backslashreplace`` does.  Exit codes: 0 success (or SECURE
 with --certify), 1 check failure / INSECURE, 2 bad input (including an
 unreadable input file, an unwritable --out, or a stdout that cannot be
 written: a closed pipe or a full device), 3 INDETERMINATE.  A command
@@ -151,7 +153,10 @@ def _emit(write: Callable[[TextIO], object], out_path: str | None = None) -> Non
 def cmd_verify(args) -> int:
     ks = _load_set(args.set)
     report = ksset.verify_ks_structure(ks)
-    _emit(lambda out: print(report, file=out))
+    # A failure names its basis by the file's label, which may be any text;
+    # escaped, it prints in any locale, as `json.dumps` escapes it elsewhere.
+    text = str(report).encode("ascii", "backslashreplace").decode("ascii")
+    _emit(lambda out: print(text, file=out))
     return 0 if report.ok else 1
 
 

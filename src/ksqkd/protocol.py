@@ -35,9 +35,10 @@ pairs faster); 2^12 cut 0.5 MB more but ran 3.6% slower (12 of 40 faster).
 
 Every record here is declared as the package's others are, a
 ``typing.NamedTuple``: ``SessionConfig`` checks its fields in ``__new__``,
-and ``CheckStats`` and ``SessionReport`` share their figures through one
-mixin.  ``RoundLog`` is a ``types.SimpleNamespace`` whose ``vars`` are
-its nine columns.  No record needs ``dataclasses``, so no command imports it.
+and ``SessionReport`` is the one tally record: its class body holds
+every figure read from its counts.  ``RoundLog`` is a
+``types.SimpleNamespace`` whose ``vars`` are its nine columns.  No record
+needs ``dataclasses``, so no command imports it.
 """
 
 from __future__ import annotations
@@ -184,78 +185,13 @@ def _rate(errors: int, n: int) -> float | None:
     return errors / n if n > 0 else None
 
 
-class _Tally:
-    """The figures of ``counts``, shared by ``CheckStats`` and ``SessionReport``."""
-
-    __slots__ = ()
-
-    rounds_total = property(lambda self: sum(self.counts))
-    rounds_sifted = property(lambda self: sum(self.counts[8:]))
-    n_checks = checks_used = property(lambda self: sum(self.counts[12:]))
-    n_same = property(lambda self: self.counts[12] + self.counts[13])
-    n_cross = property(lambda self: self.counts[14] + self.counts[15])
-    errors_overall = property(lambda self: self.counts[13] + self.counts[15])
-    errors_same = property(lambda self: self.counts[13])
-    errors_cross = property(lambda self: self.counts[15])
-
-    @property
-    def sift_rate(self) -> float:
-        return self.rounds_sifted / self.rounds_total
-
-    @property
-    def same_basis_rate(self) -> float:
-        return (sum(self.counts[8:10]) + sum(self.counts[12:14])) / self.rounds_total
-
-    @property
-    def w_overall(self) -> float | None:
-        return _rate(self.errors_overall, self.n_checks)
-
-    @property
-    def w_same(self) -> float | None:
-        return _rate(self.errors_same, self.n_same)
-
-    @property
-    def w_cross(self) -> float | None:
-        return _rate(self.errors_cross, self.n_cross)
-
-    @property
-    def certified(self) -> bool | None:
-        """None when the verdict is INDETERMINATE."""
-        return certify(self).certified
-
-    @property
-    def key_agreement_rate(self) -> float | None:
-        """Share of key digits, sifted non-check rounds, the keys agree on."""
-        return _rate(sum(self.counts[8:12:2]), sum(self.counts[8:12]))
-
-
-class _CheckStatsFields(NamedTuple):
-    counts: tuple[int, ...]
-
-
-class CheckStats(_Tally, _CheckStatsFields):
-    """A tally of rounds per class, and every figure read from it.
-
-    ``counts[8*sifted + 4*check + 2*cross + error]`` is the number of
-    rounds in that class, as 16 ints: sifted rounds have codes 8-15, check
-    rounds 12-15, cross-basis check rounds 14-15, and errors odd codes.
-    ``check`` and ``cross`` count only on sifted rounds.  An error is a
-    round whose outcome differs from Alice's symbol; on a sifted non-check
-    round that is a key digit the keys disagree on.  Rates are None when
-    their conditioning class is empty: an absent statistic is undefined,
-    never silently zero.
-    """
-
-    __slots__ = ()
-
-
-def estimate_error_stats(log: RoundLog) -> CheckStats:
-    """A log's tally: its rounds per class code of ``CheckStats``, in one count."""
+def estimate_error_stats(log: RoundLog) -> np.ndarray:
+    """A log's tally: its rounds per ``SessionReport`` class code, one bincount."""
     sifted, check, cross = (
         flag.view(np.uint8) for flag in (log.sifted, log.check, log.cross_basis)
     )
     code = 8 * sifted + 4 * check + 2 * cross + (log.bob_outcome != log.alice_symbol)
-    return CheckStats(tuple(np.bincount(code, minlength=16).tolist()))
+    return np.bincount(code, minlength=16)
 
 
 class Verdict(NamedTuple):
@@ -269,7 +205,7 @@ class Verdict(NamedTuple):
         return self.verdict == SECURE
 
 
-def certify(stats: _Tally) -> Verdict:
+def certify(stats: SessionReport) -> Verdict:
     """SECURE iff both w_overall and w_cross are strictly below 1/9.
 
     The dual test exists because the ball attack's trace concentrates in
@@ -324,21 +260,65 @@ def _json_members(doc: dict) -> str:
     return json.dumps(doc, indent=2)[2:-2]
 
 
-class _SessionReportFields(NamedTuple):
-    counts: tuple[int, ...]
-    config: SessionConfig
-    packed_keys: tuple[tuple[bytes, int], ...]
+class SessionReport(NamedTuple):
+    """A session's tally, config and two keys, and every figure of the tally.
 
-
-class SessionReport(_Tally, _SessionReportFields):
-    """A session's tally with its config and its two keys.
+    ``counts[8*sifted + 4*check + 2*cross + error]`` is the number of
+    rounds in that class, as 16 ints: sifted rounds have codes 8-15, check
+    rounds 12-15, cross-basis check rounds 14-15, and errors odd codes.
+    ``check`` and ``cross`` count only on sifted rounds.  An error is a
+    round whose outcome differs from Alice's symbol; on a sifted non-check
+    round that is a key digit the keys disagree on.  Rates are None when
+    their conditioning class is empty: an absent statistic is undefined,
+    never silently zero.
 
     ``counts`` is the sum of the chunks' ``estimate_error_stats`` counts,
     and ``packed_keys`` holds each chunk's key rounds as ``extract_key``
     packs them, half a byte per round for both keys.
     """
 
-    __slots__ = ()
+    counts: tuple[int, ...]
+    config: SessionConfig
+    packed_keys: tuple[tuple[bytes, int], ...]
+
+    rounds_total = property(lambda self: sum(self.counts))
+    rounds_sifted = property(lambda self: sum(self.counts[8:]))
+    n_checks = checks_used = property(lambda self: sum(self.counts[12:]))
+    n_same = property(lambda self: self.counts[12] + self.counts[13])
+    n_cross = property(lambda self: self.counts[14] + self.counts[15])
+    errors_overall = property(lambda self: self.counts[13] + self.counts[15])
+    errors_same = property(lambda self: self.counts[13])
+    errors_cross = property(lambda self: self.counts[15])
+
+    @property
+    def sift_rate(self) -> float:
+        return self.rounds_sifted / self.rounds_total
+
+    @property
+    def same_basis_rate(self) -> float:
+        return (sum(self.counts[8:10]) + sum(self.counts[12:14])) / self.rounds_total
+
+    @property
+    def w_overall(self) -> float | None:
+        return _rate(self.errors_overall, self.n_checks)
+
+    @property
+    def w_same(self) -> float | None:
+        return _rate(self.errors_same, self.n_same)
+
+    @property
+    def w_cross(self) -> float | None:
+        return _rate(self.errors_cross, self.n_cross)
+
+    @property
+    def certified(self) -> bool | None:
+        """None when the verdict is INDETERMINATE."""
+        return certify(self).certified
+
+    @property
+    def key_agreement_rate(self) -> float | None:
+        """Share of key digits, sifted non-check rounds, the keys agree on."""
+        return _rate(sum(self.counts[8:12:2]), sum(self.counts[8:12]))
 
     # The JSON members before the two keys and after them, in order.
     JSON_HEAD = (
@@ -378,7 +358,7 @@ def report_from_log(config: SessionConfig, logs: Iterable[RoundLog]) -> SessionR
     counts = np.zeros(16, dtype=np.int64)
     keys = []
     for log in logs:
-        counts += estimate_error_stats(log).counts
+        counts += estimate_error_stats(log)
         keys.append(extract_key(log))
         del log  # freed before the generator simulates the next chunk
     return SessionReport(tuple(counts.tolist()), config, tuple(keys))

@@ -10,6 +10,9 @@ intercept-resend rates that calls ``qcore.exact_born`` itself instead of
 reading ``ksset.born_table``, and, for the vectorized round kernel, a
 per-round Python loop that searches Born numerators it derives itself
 from the set's integer amplitudes, with no use of the kernel's tables.
+The exact round distribution takes the kernel's own route on purpose: it
+feeds it every cell of the uniforms it reads, to prove the map from cells
+to rounds that the kernel owns.
 """
 
 import itertools
@@ -17,8 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ksqkd import qcore
-from steering import basis_index
+from ksqkd import kernel, ksset, qcore
+from ksqkd.protocol import RoundLog, SessionConfig, SessionReport, estimate_error_stats
+from steering import MID, basis_index, cells, draws, every_cell
 
 _PERMS = np.array(list(itertools.permutations((1, 2, 3, 4))), dtype=np.int8)
 
@@ -363,3 +367,46 @@ def reference_run_rounds(config, ks=None):
         check=cols["sifted"] & (uc < config.check_fraction),
         **cols,
     )
+
+
+def exact_round_distribution(adversary, noise, checked=True):
+    """The exact probability of each tallied class of a builtin-set round.
+
+    The kernel reads each uniform only through its cell ``floor(m u)``,
+    m in {9, 4, den}, and the noise draw only through ``u < p``.  So the
+    midpoint of every cell of the columns a scenario reads, fed through
+    the production ``kernel.simulate_rounds``, gives every distinct round
+    once, each with the measure of its cell, and :func:`estimate_error_stats`
+    tallies them.  With noise, the depolarized grid (noise uniform p/2)
+    and the clean one ((1+p)/2) run apart, weighted by ``Fraction(p)``
+    and ``1 - Fraction(p)``.  A float64 uniform is a multiple of 2^-53,
+    so a cell's measure is 1/m only to within 2^-53: what this proves is
+    the map from cells to rounds.
+
+    Every sifted round is a check round when ``checked``, none otherwise.
+    Returns a ``SessionReport`` whose counts are Fractions summing to 1,
+    so every figure of it is exact.
+    """
+    tables = kernel.build_tables(ksset.builtin_ks18())
+    nb, den = len(tables.ks.bases), tables.den
+    born = cells(den) if adversary.kind != "ball" else MID
+    eve = {"none": (MID, MID), "ball": (cells(4), MID),
+           "intercept_resend": (cells(nb), cells(den))}[adversary.kind]
+    if noise.kind == "depolarizing":
+        p = Fraction(noise.p)
+        grids = [(p, noise.p / 2, cells(4)), (1 - p, (1 + noise.p) / 2, cells(4))]
+    else:
+        grids = [(Fraction(1), 0.5, MID)]
+    total = [Fraction(0)] * 16
+    for weight, un0, un1 in grids:
+        ua, ub, un, ue = every_cell(cells(nb), cells(4), cells(nb), born,
+                                    [un0], un1, *eve)
+        columns = kernel.simulate_rounds(tables, adversary, noise,
+                                         draws(ua, ub, un, ue))
+        log = RoundLog(index=np.arange(len(ua)),
+                       check=columns["sifted"] & checked, **columns)
+        counts = estimate_error_stats(log).tolist()
+        total = [t + weight * Fraction(c, len(ua)) for t, c in zip(total, counts)]
+    config = SessionConfig(check_fraction=float(checked), noise=noise,
+                           adversary=adversary)
+    return SessionReport(tuple(total), config, ())

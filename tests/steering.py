@@ -1,5 +1,6 @@
 """Hand-built uniform draws that steer the round kernel to chosen rounds,
-and a whole session's log and report text in one call each."""
+grids of them that reach every round there is, a whole session's log and
+report text in one call each, and ball labelings with chosen defects."""
 
 import io
 
@@ -8,6 +9,7 @@ import numpy as np
 from ksqkd import kernel, ksset, protocol
 from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
+from ksqkd.ksset import SymbolAssignment
 
 
 def centre(index, count):
@@ -24,6 +26,25 @@ def sending(ks, vector_id):
     """Alice's two draws that send `vector_id` from its first home basis."""
     label, pos = ks.incidence[vector_id][0]
     return centre(basis_index(ks, label), len(ks.bases)), centre(pos, 4)
+
+
+MID = [0.5]  # a draw column the scenario never reads
+
+
+def cells(count):
+    """The midpoint uniform of each of ``count`` equal cells of [0, 1)."""
+    return centre(np.arange(count), count)
+
+
+def every_cell(ua0, ua1, ub0, ub1, un0, un1, ue0, ue1):
+    """One round per combination of the given uniforms of each draw column.
+
+    Each argument lists the values its column takes; the rounds run over
+    their whole product.  Returns (ua, ub, un, ue).
+    """
+    cols = [c.ravel() for c in np.meshgrid(
+        ua0, ua1, ub0, ub1, un0, un1, ue0, ue1, indexing="ij")]
+    return tuple(np.column_stack(cols[i:i + 2]) for i in range(0, 8, 2))
 
 
 def draws(ua, ub, un, ue):
@@ -61,3 +82,21 @@ def report_text(report):
     out = io.StringIO()
     report.to_json(out)
     return out.getvalue()
+
+
+def make_assignment_with_defects(ks, witness, extra: int) -> SymbolAssignment:
+    """Perturb the optimal witness to add `extra` defective vectors."""
+    symbols = dict(witness.symbols)
+    base = ksset.defective_vectors(ks, witness)
+    for b in ks.bases:
+        syms = list(symbols[b.label])
+        # swapping two positions flips consistency of the vectors there
+        for i, j in ((0, 1), (2, 3), (0, 2), (1, 3)):
+            trial = dict(symbols)
+            s = list(syms)
+            s[i], s[j] = s[j], s[i]
+            trial[b.label] = tuple(s)
+            cand = SymbolAssignment(trial)
+            if len(ksset.defective_vectors(ks, cand)) == len(base) + extra:
+                return cand
+    raise AssertionError(f"no perturbation adds exactly {extra} defects")

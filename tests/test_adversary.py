@@ -8,29 +8,11 @@ import pytest
 from ksqkd import ksset, qcore
 from ksqkd.adversary import AdversarySpec, exact_intercept_resend_w
 from ksqkd.ksset import SymbolAssignment, build_set
-from ksqkd.protocol import SessionConfig, estimate_error_stats
+from ksqkd.protocol import SessionConfig, run_session
 
 import oracles
 from oracles import expected_ball_attack_stats
-from steering import basis_index, centre, session_log, steer
-
-
-def make_assignment_with_defects(ks, witness, extra: int) -> SymbolAssignment:
-    """Perturb the optimal witness to add `extra` defective vectors."""
-    symbols = dict(witness.symbols)
-    base = ksset.defective_vectors(ks, witness)
-    for b in ks.bases:
-        syms = list(symbols[b.label])
-        # swapping two positions flips consistency of the vectors there
-        for i, j in ((0, 1), (2, 3), (0, 2), (1, 3)):
-            trial = dict(symbols)
-            s = list(syms)
-            s[i], s[j] = s[j], s[i]
-            trial[b.label] = tuple(s)
-            cand = SymbolAssignment(trial)
-            if len(ksset.defective_vectors(ks, cand)) == len(base) + extra:
-                return cand
-    raise AssertionError(f"no perturbation adds exactly {extra} defects")
+from steering import basis_index, centre, make_assignment_with_defects, steer
 
 
 def ball_round(ks, witness, alice, bob, readout_u=0.5):
@@ -211,7 +193,7 @@ class TestExactInterceptResend:
             rounds=200_000, seed=12, check_fraction=1.0,
             adversary=AdversarySpec("intercept_resend"),
         )
-        stats = estimate_error_stats(session_log(config))
+        stats = run_session(config)
         for expect, got, n in (
             (w_same, stats.w_same, stats.n_same),
             (w_cross, stats.w_cross, stats.n_cross),
@@ -227,7 +209,7 @@ class TestBallAttackMonteCarlo:
             rounds=1_000_000, seed=6, check_fraction=1.0,
             adversary=AdversarySpec("ball", optimal_witness.witness),
         )
-        stats = estimate_error_stats(session_log(config))
+        stats = run_session(config)
         assert stats.errors_same == 0
 
     @pytest.mark.parametrize("extra", [0, 1, 2])
@@ -242,7 +224,7 @@ class TestBallAttackMonteCarlo:
             rounds=1_000_000, seed=21 + extra, check_fraction=1.0,
             adversary=AdversarySpec("ball", assignment),
         )
-        stats = estimate_error_stats(session_log(config))
+        stats = run_session(config)
         expect = d / 18
         assert abs(stats.w_cross - expect) <= 3 * math.sqrt(
             expect * (1 - expect) / stats.n_cross
@@ -250,9 +232,7 @@ class TestBallAttackMonteCarlo:
 
 
 def test_no_adversary_no_noise_is_error_free():
-    stats = estimate_error_stats(
-        session_log(SessionConfig(rounds=100_000, seed=2, check_fraction=1.0))
-    )
+    stats = run_session(SessionConfig(rounds=100_000, seed=2, check_fraction=1.0))
     assert stats.errors_overall == 0
     assert stats.w_overall == 0.0 and stats.w_same == 0.0 and stats.w_cross == 0.0
 

@@ -470,7 +470,7 @@ class TestFreezeAtExit:
 
 
 class TestLocale:
-    """Input files are UTF-8 whatever the locale's encoding."""
+    """Input files are UTF-8, and stdout is ASCII, whatever the locale's encoding."""
 
     # A C locale without UTF-8 coercion or mode: the locale encoding is ASCII.
     ENV = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
@@ -486,6 +486,21 @@ class TestLocale:
         proc = self.run_in_c_locale("verify", "--set", str(p))
         assert proc.stderr == ""
         assert proc.returncode == 0 and "OK" in proc.stdout
+
+    def test_verify_escapes_a_non_ascii_label(self, tmp_path, ks18_text):
+        # A failure line names its basis by the file's label, and stdout is
+        # ASCII whatever the locale, so the label prints escaped.
+        text = ks18_text.replace("basis I:", "basis \u2160:")
+        text = text.replace("vector 0: 1 0 0 0\n", "vector 0: 1 0 0 5\n")
+        assert text.count("\u2160") == 1 and "1 0 0 5" in text
+        p = tmp_path / "ks18.ks"
+        p.write_text(text, encoding="utf-8")
+        proc = self.run_in_c_locale("verify", "--set", str(p))
+        assert proc.stderr == ""
+        assert proc.returncode == 1
+        assert proc.stdout == ("basis \\u2160: vectors 0 and 2 not orthogonal\n"
+                               "basis \\u2160: vectors 0 and 3 not orthogonal\n"
+                               "basis IX: vectors 0 and 17 not orthogonal\n")
 
     def test_config_and_assignment_with_non_ascii_comments(self, tmp_path, optimal_witness):
         a = tmp_path / "a.txt"

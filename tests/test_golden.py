@@ -39,6 +39,8 @@ CASES = {
     "color-permuted": ["color", "--set", str(GOLDEN / "permuted.ks")],
     # Basis I repeated as a tenth basis: parity bound 0, minimum 2.
     "mismatch-repeated": ["mismatch", "--set", str(GOLDEN / "repeated.ks")],
+    # A non-ASCII basis label in a failure line prints escaped.
+    "verify-non-ascii": ["verify", "--set", str(GOLDEN / "non-ascii.ks")],
     **{
         f"simulate-{name}": ["simulate", "--certify", "--seed", "5",
                              "--config", str(GOLDEN / f"{name}.ini")]
@@ -221,7 +223,7 @@ def run_without_numpy(argv):
 
 @pytest.mark.parametrize("name", ["verify", "color", "mismatch", "analyze", "intercept",
                                   "mismatch-permuted", "color-permuted",
-                                  "mismatch-repeated"])
+                                  "mismatch-repeated", "verify-non-ascii"])
 def test_exact_commands_run_without_numpy(name):
     proc = run_without_numpy(CASES[name])
     assert proc.stderr == ""

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from ksqkd.channels import NoiseSpec
 from ksqkd.protocol import SessionConfig
 
 import oracles
-from steering import centre, draws, session_log
+from steering import (MID, cells, centre, draws, every_cell,
+                      make_assignment_with_defects, session_log)
 
 # The four benchmark scenarios: (adversary kind, noise).  A ball session
 # takes no noise.
@@ -170,29 +172,12 @@ def test_boundary_uniforms_match_reference(ks18, optimal_witness, adv, noise):
                              draws["ua"], draws["ub"], draws["un"], draws["ue"])
 
 
-def cells(count):
-    """The midpoint uniform of each of ``count`` equal cells of [0, 1)."""
-    return centre(np.arange(count), count)
-
-
-def every_cell(ua0, ua1, ub0, ub1, un0, un1, ue0, ue1):
-    """One round per combination of the given uniforms of each draw column.
-
-    Each argument lists the values its column takes; the rounds run over
-    their whole product.  Returns (ua, ub, un, ue).
-    """
-    cols = [c.ravel() for c in np.meshgrid(
-        ua0, ua1, ub0, ub1, un0, un1, ue0, ue1, indexing="ij")]
-    return tuple(np.column_stack(cols[i:i + 2]) for i in range(0, 8, 2))
-
-
 # The kernel reads each uniform only through floor(m u), m in {9, 4, den}
 # with den = 4 for the builtin set, and the noise draw only through
 # `u < p`.  A grid of 16 cells refines den's, so the midpoint of every
 # cell feeds it every distinct round there is.
 P = 0.25
 NOISE_CELLS = np.array([P / 2, (1 + P) / 2])  # depolarized, clean
-MID = [0.5]  # a column the scenario never reads
 
 
 @pytest.mark.parametrize("adv,noise,columns", [
@@ -221,6 +206,72 @@ def test_every_intercept_resend_cell_matches_reference(ks18, alice_basis):
                        MID, MID, cells(9), cells(16))
     assert_matches_reference(ks18, AdversarySpec("intercept_resend"), NoiseSpec(),
                              *draws)
+
+
+class TestExactRoundDistribution:
+    """The kernel's exact round distribution, every cell enumerated, against
+    the closed forms and the independent enumerations of ``oracles``."""
+
+    @staticmethod
+    def assert_sifting(report):
+        # Bob's basis holds Alice's ray in 2 of 9 rounds, and half of those
+        # are in Alice's own basis.
+        assert report.rounds_total == 1
+        assert report.sift_rate == Fraction(2, 9)
+        assert report.same_basis_rate / report.sift_rate == Fraction(1, 2)
+
+    def test_ideal(self):
+        r = oracles.exact_round_distribution(AdversarySpec(), NoiseSpec())
+        self.assert_sifting(r)
+        assert r.w_overall == r.w_same == r.w_cross == 0
+
+    @pytest.mark.parametrize("p", [0.25, 0.05])
+    def test_depolarizing(self, p):
+        noise = NoiseSpec("depolarizing", p)
+        r = oracles.exact_round_distribution(AdversarySpec(), noise)
+        self.assert_sifting(r)
+        assert r.w_overall == r.w_same == r.w_cross == Fraction(3, 4) * Fraction(p)
+        assert float(r.w_overall) == oracles.analytic_w(noise)[0]
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_ball(self, ks18, optimal_witness, extra):
+        assignment = (
+            optimal_witness.witness if extra == 0
+            else make_assignment_with_defects(ks18, optimal_witness.witness, extra)
+        )
+        d = len(ksset.defective_vectors(ks18, assignment))
+        assert d == 2 + extra
+        r = oracles.exact_round_distribution(AdversarySpec("ball", assignment),
+                                             NoiseSpec())
+        self.assert_sifting(r)
+        assert r.w_same == 0 and r.w_cross == Fraction(d, 18)
+        assert ((r.w_same, r.w_cross, r.w_overall)
+                == oracles.expected_ball_attack_stats(ks18, assignment))
+
+    def test_intercept_resend(self, ks18):
+        r = oracles.exact_round_distribution(AdversarySpec("intercept_resend"),
+                                             NoiseSpec())
+        self.assert_sifting(r)
+        assert ((r.w_same, r.w_cross, r.w_overall) == oracles.intercept_resend_w(ks18)
+                == (Fraction(17, 36),) * 3)
+
+    # p = 0.05 is the benchmark's noisy intercept session.
+    @pytest.mark.parametrize("p", [0.25, 0.05])
+    def test_intercept_resend_with_noise(self, p):
+        r = oracles.exact_round_distribution(AdversarySpec("intercept_resend"),
+                                             NoiseSpec("depolarizing", p))
+        self.assert_sifting(r)
+        w = (1 - Fraction(p)) * Fraction(17, 36) + Fraction(p) * Fraction(3, 4)
+        assert r.w_overall == r.w_same == r.w_cross == w
+        assert p != 0.25 or w == Fraction(13, 24)
+
+    def test_key_rounds_agree_at_one_minus_w(self):
+        adv, noise = AdversarySpec("intercept_resend"), NoiseSpec("depolarizing", 0.25)
+        r = oracles.exact_round_distribution(adv, noise, checked=False)
+        self.assert_sifting(r)
+        assert r.n_checks == 0 and r.w_overall is None
+        assert r.key_agreement_rate == Fraction(11, 24)
+        assert r.key_agreement_rate == 1 - oracles.exact_round_distribution(adv, noise).w_overall
 
 
 def test_tables_use_the_sets_own_denominator(ks18):

@@ -14,10 +14,9 @@ from ksqkd.protocol import (
     INSECURE,
     SECURE,
     STREAM_INDEX,
-    CheckStats,
     SessionConfig,
+    SessionReport,
     certify,
-    estimate_error_stats,
     extract_key,
     iter_chunks,
     report_from_log,
@@ -158,15 +157,11 @@ class TestSift:
 
 class TestEstimateErrorStats:
     def test_ideal_channel(self):
-        stats = estimate_error_stats(
-            session_log(SessionConfig(rounds=50_000, seed=4, check_fraction=1.0))
-        )
+        stats = run_session(SessionConfig(rounds=50_000, seed=4, check_fraction=1.0))
         assert stats.errors_overall == 0 and stats.w_overall == 0.0
 
     def test_check_fraction_zero_gives_undefined(self):
-        stats = estimate_error_stats(
-            session_log(SessionConfig(rounds=10_000, seed=4, check_fraction=0.0))
-        )
+        stats = run_session(SessionConfig(rounds=10_000, seed=4, check_fraction=0.0))
         assert stats.n_checks == 0
         assert stats.w_overall is None and stats.w_cross is None
 
@@ -178,10 +173,10 @@ class TestEstimateErrorStats:
 
     def test_depolarizing_w(self):
         p = 4 / 27
-        stats = estimate_error_stats(session_log(SessionConfig(
+        stats = run_session(SessionConfig(
             rounds=1_000_000, seed=4, check_fraction=1.0,
             noise=NoiseSpec("depolarizing", p),
-        )))
+        ))
         w = 0.75 * p
         assert abs(stats.w_overall - w) <= 3 * math.sqrt(w * (1 - w) / stats.n_checks)
 
@@ -190,7 +185,7 @@ class TestCertify:
     def stats(self, n_same, e_same, n_cross, e_cross):
         """The tally of check rounds only: same and cross basis, by error."""
         checks = (n_same - e_same, e_same, n_cross - e_cross, e_cross)
-        return CheckStats((0,) * 12 + checks)
+        return SessionReport((0,) * 12 + checks, SessionConfig(), ())
 
     def test_clean_stats_secure(self):
         v = certify(self.stats(50, 0, 50, 0))
