@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import Record
 from .ksset import KSSet, SymbolAssignment, born_table
 
 ADVERSARY_KINDS = ("none", "ball", "intercept_resend")
@@ -37,23 +38,16 @@ class _AdversarySpecFields(NamedTuple):
     ball_assignment: SymbolAssignment | None = None
 
 
-class AdversarySpec(_AdversarySpecFields):
+class AdversarySpec(Record, _AdversarySpecFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if self.kind == "ball" and self.ball_assignment is None:
             raise ValueError("ball adversary requires a symbol assignment")
         if self.kind != "ball" and self.ball_assignment is not None:
             raise ValueError(f"ball_assignment needs adversary kind 'ball', not {self.kind!r}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`: construct through `__new__`'s checks.
-        return cls(*iterable)
 
 
 def exact_intercept_resend_w(ks: KSSet) -> tuple[Fraction, Fraction, Fraction]:

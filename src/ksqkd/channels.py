@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import Record
+
 NOISE_KINDS = ("none", "depolarizing")
 
 
@@ -23,20 +25,13 @@ class _NoiseSpecFields(NamedTuple):
     p: float = 0.0
 
 
-class NoiseSpec(_NoiseSpecFields):
+class NoiseSpec(Record, _NoiseSpecFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability {self.p} outside [0, 1]")
         if self.kind == "none" and self.p != 0:
             raise ValueError(f"noise probability {self.p} needs a noise kind other than 'none'")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`: construct through `__new__`'s checks.
-        return cls(*iterable)

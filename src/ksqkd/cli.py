@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
+from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
@@ -146,6 +147,17 @@ def _emit(write: Callable[[TextIO], object], out_path: str | None = None) -> Non
         raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
 
+def _emit_json(doc, out_path: str | None = None) -> None:
+    """Write `doc` as indent-2 JSON and a newline, through `_emit`."""
+    text = json.dumps(doc, indent=2) + "\n"
+    _emit(lambda out: out.write(text), out_path)
+
+
+def _exact(rate: Fraction) -> list[int]:
+    """An exact rate as JSON writes it: ``[numerator, denominator]``."""
+    return [rate.numerator, rate.denominator]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -163,20 +175,18 @@ def cmd_verify(args) -> int:
 def cmd_color(args) -> int:
     ks = _load_set(args.set)
     result = ksset.enumerate_valid_colorings(ks)
-    doc = {"colorings": result.count, "list": [list(c) for c in result.colorings]}
-    _emit(lambda out: print(json.dumps(doc, indent=2), file=out))
+    _emit_json({"colorings": result.count, "list": [list(c) for c in result.colorings]})
     return 0
 
 
 def cmd_mismatch(args) -> int:
     ks = _load_set(args.set)
     rep = ksset.min_symbol_mismatch(ks)
-    doc = {
+    _emit_json({
         "min_mismatch": rep.mismatch_count,
         "defective_ids": rep.defective_vector_ids,
-        "witness": {lab: list(s) for lab, s in sorted(rep.witness.symbols.items())},
-    }
-    _emit(lambda out: print(json.dumps(doc, indent=2), file=out))
+        "witness": rep.witness.to_dict(),
+    })
     return 0
 
 
@@ -201,8 +211,7 @@ def cmd_analyze(args) -> int:
         "profiles_ok": ksset.wrong_basis_profiles(ks).ok,
         "entangled_count": sum(ksset.entanglement_table(ks).values()),
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    _emit(lambda out: out.write(text), args.out)
+    _emit_json(doc, args.out)
     ok = all(doc[k] == v for k, v in _ANALYZE_EXPECT.items())
     return 0 if ok else 1
 
@@ -270,14 +279,13 @@ def cmd_sweep(args) -> int:
 def cmd_intercept(args) -> int:
     ks = ksset.builtin_ks18()
     w_same, w_cross, w_overall = adversary.exact_intercept_resend_w(ks)
-    doc = {
-        "w_same": [w_same.numerator, w_same.denominator],
-        "w_cross": [w_cross.numerator, w_cross.denominator],
-        "w_overall": [w_overall.numerator, w_overall.denominator],
+    _emit_json({
+        "w_same": _exact(w_same),
+        "w_cross": _exact(w_cross),
+        "w_overall": _exact(w_overall),
         "w_overall_float": float(w_overall),
         "exceeds_threshold": w_overall > adversary.W_THRESHOLD,
-    }
-    _emit(lambda out: print(json.dumps(doc, indent=2), file=out))
+    })
     return 0
 
 

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import qcore
+from . import Record, qcore
 from .qcore import canonical_int_amps
 
 # Basis contents of the builtin set, in table row order (row 1 holds
@@ -290,22 +290,19 @@ class _SymbolAssignmentFields(NamedTuple):
     symbols: dict[str, tuple[int, int, int, int]]  # basis label -> symbols
 
 
-class SymbolAssignment(_SymbolAssignmentFields):
+class SymbolAssignment(Record, _SymbolAssignmentFields):
     """Per-basis bijection from outcome positions to symbols 1..4."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for lab, syms in self.symbols.items():
             if sorted(syms) != [1, 2, 3, 4]:
                 raise ValueError(f"basis {lab}: symbols {syms} not a bijection")
-        return self
 
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`: construct through `__new__`'s checks.
-        return cls(*iterable)
+    def to_dict(self) -> dict[str, list[int]]:
+        """The labeling as JSON writes it: symbol lists by sorted basis label."""
+        return {lab: list(syms) for lab, syms in sorted(self.symbols.items())}
 
     def vector_symbols(self, ks: KSSet, vector_id: int) -> tuple[int, ...]:
         """The symbols a vector receives in each of its home bases."""

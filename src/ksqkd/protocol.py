@@ -34,7 +34,7 @@ On a 2-core x86_64 host, against 2^14, 2^13 cut the peak RSS of a
 pairs faster); 2^12 cut 0.5 MB more but ran 3.6% slower (12 of 40 faster).
 
 Every record here is declared as the package's others are, a
-``typing.NamedTuple``: ``SessionConfig`` checks its fields in ``__new__``,
+``typing.NamedTuple``: ``SessionConfig`` checks its fields in ``_check``,
 and ``SessionReport`` is the one tally record: its class body holds
 every figure read from its counts.  ``RoundLog`` is a
 ``types.SimpleNamespace`` whose ``vars`` are its nine columns.  No record
@@ -50,7 +50,7 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from . import kernel, ksset
+from . import Record, kernel, ksset
 from .adversary import W_THRESHOLD, AdversarySpec
 from .channels import NoiseSpec
 from .kernel import KernelTables
@@ -72,11 +72,10 @@ class _SessionConfigFields(NamedTuple):
     adversary: AdversarySpec = AdversarySpec()
 
 
-class SessionConfig(_SessionConfigFields):
+class SessionConfig(Record, _SessionConfigFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         # A session runs on the builtin set: its rounds read a ball labeling
         # of each of its nine bases, and of no other.
         if self.adversary.ball_assignment is not None:
@@ -97,20 +96,11 @@ class SessionConfig(_SessionConfigFields):
         if self.noise.kind != "none" and self.adversary.kind == "ball":
             raise ValueError(f"noise kind {self.noise.kind!r} needs an adversary "
                              "kind other than 'ball'")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`: construct through `__new__`'s checks.
-        return cls(*iterable)
 
     def to_dict(self) -> dict:
         adv: dict = {"kind": self.adversary.kind}
         if self.adversary.ball_assignment is not None:
-            adv["ball_assignment"] = {
-                lab: list(syms)
-                for lab, syms in sorted(self.adversary.ball_assignment.symbols.items())
-            }
+            adv["ball_assignment"] = self.adversary.ball_assignment.to_dict()
         return {
             "rounds": self.rounds,
             "seed": self.seed,

@@ -1,11 +1,13 @@
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ksqkd import kernel, protocol
+from ksqkd import Record, kernel, protocol
 from ksqkd.adversary import AdversarySpec
 from ksqkd.channels import NoiseSpec
 from ksqkd.ksset import SymbolAssignment
@@ -26,6 +28,18 @@ from ksqkd.protocol import (
     substreams,
 )
 from steering import report_text, session_log
+
+# A valid instance of each validated record, a change of fields that makes
+# it invalid, and the message its check raises for that change.
+RECORDS = [
+    (SessionConfig(), {"rounds": 0}, r"^rounds must be >= 1$"),
+    (NoiseSpec("depolarizing", 0.1), {"p": float("nan")},
+     r"^noise probability nan outside \[0, 1\]$"),
+    (AdversarySpec(), {"kind": "bogus"}, r"^unknown adversary kind 'bogus'$"),
+    (SymbolAssignment({"I": (1, 2, 3, 4)}), {"symbols": {"I": (1, 1, 2, 3)}},
+     r"^basis I: symbols \(1, 1, 2, 3\) not a bijection$"),
+]
+RECORD_IDS = ["SessionConfig", "NoiseSpec", "AdversarySpec", "SymbolAssignment"]
 
 
 class TestConfig:
@@ -66,17 +80,29 @@ class TestConfig:
 
     # namedtuple's `_replace` builds through `_make`, which skips a
     # subclass's `__new__` unless the record routes it back there.
-    @pytest.mark.parametrize("record,change,message", [
-        (SessionConfig(), {"rounds": 0}, r"^rounds must be >= 1$"),
-        (NoiseSpec("depolarizing", 0.1), {"p": float("nan")},
-         r"^noise probability nan outside \[0, 1\]$"),
-        (AdversarySpec(), {"kind": "bogus"}, r"^unknown adversary kind 'bogus'$"),
-        (SymbolAssignment({"I": (1, 2, 3, 4)}), {"symbols": {"I": (1, 1, 2, 3)}},
-         r"^basis I: symbols \(1, 1, 2, 3\) not a bijection$"),
-    ], ids=["SessionConfig", "NoiseSpec", "AdversarySpec", "SymbolAssignment"])
+    @pytest.mark.parametrize("record,change,message", RECORDS, ids=RECORD_IDS)
     def test_replace_validates(self, record, change, message):
         with pytest.raises(ValueError, match=message):
             record._replace(**change)
+
+    # Every validated record is a `ksqkd.Record`: each way to build one, a
+    # copy and an unpickling included, runs its checks, and no instance
+    # carries a `__dict__`.
+    @pytest.mark.parametrize("record,change,message", RECORDS, ids=RECORD_IDS)
+    def test_construction_rule(self, record, change, message):
+        cls = type(record)
+        assert isinstance(record, Record)
+        for again in (cls(*record), cls(**record._asdict()), cls._make(record),
+                      record._replace(), copy.copy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(again) is cls and again == record
+            assert not hasattr(again, "__dict__")
+        fields = {**record._asdict(), **change}
+        for build in (lambda: cls(**fields), lambda: cls(*fields.values()),
+                      lambda: cls._make(fields.values()),
+                      lambda: record._replace(**change)):
+            with pytest.raises(ValueError, match=message):
+                build()
 
     def test_substreams_are_independent(self):
         a = substream(5, "alice").random(4)
