@@ -175,7 +175,8 @@ def cmd_verify(args) -> int:
 def cmd_color(args) -> int:
     ks = _load_set(args.set)
     result = ksset.enumerate_valid_colorings(ks)
-    _emit_json({"colorings": result.count, "list": [list(c) for c in result.colorings]})
+    _emit_json({"colorings": result.count,
+                "list": [ks.file_ids(c) for c in result.colorings]})
     return 0
 
 
@@ -184,7 +185,7 @@ def cmd_mismatch(args) -> int:
     rep = ksset.min_symbol_mismatch(ks)
     _emit_json({
         "min_mismatch": rep.mismatch_count,
-        "defective_ids": rep.defective_vector_ids,
+        "defective_ids": sorted(ks.file_ids(rep.defective_vector_ids)),
         "witness": rep.witness.to_dict(),
     })
     return 0

@@ -55,8 +55,9 @@ class SetFormatError(ValueError):
 
 
 class KSVector(NamedTuple):
-    id: int
+    id: int  # index in KSSet.vectors
     raw_amps: tuple[int, int, int, int]
+    file_id: int  # the id its set file gives it; `id` for a set built in code
 
 
 class KSBasisDef(NamedTuple):
@@ -69,6 +70,11 @@ class KSSet(NamedTuple):
     bases: tuple[KSBasisDef, ...]
     # vector id -> ((basis label, position 0..3), ...)
     incidence: dict[int, tuple[tuple[str, int], ...]]
+
+    def file_ids(self, ids) -> list[int]:
+        """The file ids of the vectors with ids `ids`, in order: how every
+        report names a vector."""
+        return [self.vectors[i].file_id for i in ids]
 
 
 def build_set(basis_amps) -> KSSet:
@@ -91,7 +97,7 @@ def build_set(basis_amps) -> KSSet:
                 vec_amps.append(tuple(int(a) for a in amps))
             members.append(vid)
         bases.append(KSBasisDef(label, tuple(members)))
-    vectors = tuple(KSVector(i, amps) for i, amps in enumerate(vec_amps))
+    vectors = tuple(KSVector(i, amps, i) for i, amps in enumerate(vec_amps))
     incidence = {
         v.id: tuple(
             (b.label, pos) for b in bases for pos in range(4) if b.members[pos] == v.id
@@ -127,22 +133,18 @@ def verify_ks_structure(ks: KSSet) -> VerificationReport:
     """Exact structural checks; failures are reported, never raised.
 
     Rays equal up to scale and sign are already one vector, merged by
-    :func:`build_set`.
+    :func:`build_set`.  Failures name vectors by their file ids.
     """
     fails = []
     for b in ks.bases:
-        for i, j in itertools.combinations(range(4), 2):
-            u = ks.vectors[b.members[i]].raw_amps
-            v = ks.vectors[b.members[j]].raw_amps
-            if qcore.exact_inner(u, v) != 0:
-                fails.append(
-                    f"basis {b.label}: vectors {b.members[i]} and {b.members[j]} "
-                    "not orthogonal"
-                )
+        for i, j in itertools.combinations(b.members, 2):
+            if qcore.exact_inner(ks.vectors[i].raw_amps, ks.vectors[j].raw_amps) != 0:
+                u, v = ks.file_ids((i, j))
+                fails.append(f"basis {b.label}: vectors {u} and {v} not orthogonal")
     for v in ks.vectors:
         n = len({lab for lab, _ in ks.incidence[v.id]})
         if n != 2:
-            fails.append(f"vector {v.id} appears in {n} bases, expected 2")
+            fails.append(f"vector {v.file_id} appears in {n} bases, expected 2")
     return VerificationReport(fails)
 
 
@@ -480,10 +482,13 @@ def parse_set_file(text: str) -> KSSet:
 
     Records: ``vector <id>: a1 a2 a3 a4`` and ``basis <label>: id1 id2 id3 id4``.
     Blank lines and ``#`` comments are ignored; a vector id or basis
-    label defined twice, a basis naming an undefined vector and a vector
-    no basis names are errors.
+    label defined twice, a vector whose ray, up to scale and sign, is an
+    earlier vector's, a basis naming an undefined vector and a vector no
+    basis names are errors.  Vectors are numbered in order of first
+    appearance in the basis records, and keep their ids as file ids.
     """
     vecs: dict[int, tuple[int, int, int, int]] = {}
+    rays: dict[tuple[int, ...], int] = {}  # canonical ray -> file id
     basis_ids: dict[str, tuple[int, ...]] = {}
 
     def record(kind: str, name: str, fields: list[str]) -> None:
@@ -496,7 +501,11 @@ def parse_set_file(text: str) -> KSSet:
             vid = int(name)
             if vid in vecs:
                 raise ValueError(f"vector {vid} defined twice")
+            ray = canonical_int_amps(amps)
+            if ray in rays:
+                raise ValueError(f"vector {vid} repeats the ray of vector {rays[ray]}")
             vecs[vid] = amps
+            rays[ray] = vid
         elif kind == "basis":
             if len(fields) != 4:
                 raise ValueError("expected 4 vector ids")
@@ -515,10 +524,14 @@ def parse_set_file(text: str) -> KSSet:
         ]
     except KeyError as exc:
         raise SetFormatError(f"basis references unknown vector id {exc}") from exc
-    named = {i for ids in basis_ids.values() for i in ids}
-    if unnamed := sorted(vecs.keys() - named):
+    # Distinct file ids are distinct rays, so `build_set` numbers the rays
+    # in this order of first appearance.
+    named = dict.fromkeys(i for ids in basis_ids.values() for i in ids)
+    if unnamed := sorted(vecs.keys() - named.keys()):
         raise SetFormatError(f"vector {unnamed[0]} is in no basis")
-    return build_set(basis_amps)
+    ks = build_set(basis_amps)
+    return ks._replace(vectors=tuple(
+        v._replace(file_id=i) for v, i in zip(ks.vectors, named)))
 
 
 def parse_assignment_file(text: str) -> SymbolAssignment:

@@ -41,6 +41,11 @@ CASES = {
     "mismatch-repeated": ["mismatch", "--set", str(GOLDEN / "repeated.ks")],
     # A non-ASCII basis label in a failure line prints escaped.
     "verify-non-ascii": ["verify", "--set", str(GOLDEN / "non-ascii.ks")],
+    # Reports name vectors by the file's ids, whatever order they come in.
+    "verify-reversed": ["verify", "--set", str(GOLDEN / "reversed.ks")],
+    "mismatch-permuted-reversed": ["mismatch", "--set",
+                                   str(GOLDEN / "permuted-reversed.ks")],
+    "color-colorable": ["color", "--set", str(GOLDEN / "colorable.ks")],
     **{
         f"simulate-{name}": ["simulate", "--certify", "--seed", "5",
                              "--config", str(GOLDEN / f"{name}.ini")]
@@ -123,6 +128,7 @@ BAD_CASES = {
     "set-missing": ["mismatch", "--set", str(MISSING / "set.ks")],
     "set-directory": ["verify", "--set", str(BAD)],
     "set-vector-in-no-basis": ["verify", "--set", str(BAD / "unnamed-vector.ks")],
+    "set-repeated-ray": ["mismatch", "--set", str(BAD / "repeated-ray.ks")],
     **{
         f"config-{name}": ["simulate", "--certify", "--config", str(path)]
         for name, path in (
@@ -223,7 +229,9 @@ def run_without_numpy(argv):
 
 @pytest.mark.parametrize("name", ["verify", "color", "mismatch", "analyze", "intercept",
                                   "mismatch-permuted", "color-permuted",
-                                  "mismatch-repeated", "verify-non-ascii"])
+                                  "mismatch-repeated", "verify-non-ascii",
+                                  "verify-reversed", "mismatch-permuted-reversed",
+                                  "color-colorable"])
 def test_exact_commands_run_without_numpy(name):
     proc = run_without_numpy(CASES[name])
     assert proc.stderr == ""
