@@ -13,11 +13,16 @@ depolarizing noise w = 3p/4 and the transmission fidelity is F = 1 - w.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import Record
 
 NOISE_KINDS = ("none", "depolarizing")
+
+# A depolarized round reads a uniform symbol among 4, so it errs with
+# probability 3/4: depolarizing noise p gives w = DEPOLARIZED_W * p.
+DEPOLARIZED_W = Fraction(3, 4)
 
 
 class _NoiseSpecFields(NamedTuple):

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, TextIO
 
 from . import adversary, ksset
 from .adversary import AdversarySpec
-from .channels import NoiseSpec
+from .channels import DEPOLARIZED_W, NoiseSpec
 from .ksset import SetFormatError
 
 # `protocol` imports NumPy, which only the commands that run rounds
@@ -204,6 +204,10 @@ _ANALYZE_EXPECT = {
 def cmd_analyze(args) -> int:
     ks = ksset.builtin_ks18()
     mismatch = ksset.min_symbol_mismatch(ks)
+    # A sifted cross-basis round is uniform over the rays, so the optimal
+    # ball labeling errs on min_mismatch of them.  Noise alone stays below
+    # the threshold that rate must reach while p < threshold / (3/4).
+    ball_w_cross = Fraction(mismatch.mismatch_count, len(ks.vectors))
     doc = {
         "colorings": ksset.enumerate_valid_colorings(ks).count,
         "parity_bound": ksset.parity_lower_bound(ks),
@@ -211,9 +215,13 @@ def cmd_analyze(args) -> int:
         "defective_ids": mismatch.defective_vector_ids,
         "profiles_ok": ksset.wrong_basis_profiles(ks).ok,
         "entangled_count": sum(ksset.entanglement_table(ks).values()),
+        "ball_w_cross": _exact(ball_w_cross),
+        "threshold": _exact(adversary.W_THRESHOLD),
+        "tolerated_noise": _exact(adversary.W_THRESHOLD / DEPOLARIZED_W),
     }
     _emit_json(doc, args.out)
-    ok = all(doc[k] == v for k, v in _ANALYZE_EXPECT.items())
+    ok = (all(doc[k] == v for k, v in _ANALYZE_EXPECT.items())
+          and ball_w_cross == adversary.W_THRESHOLD)
     return 0 if ok else 1
 
 

@@ -1,9 +1,12 @@
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ksqkd.channels import NoiseSpec
+from ksqkd.cli import main
 from ksqkd.protocol import SessionConfig
 
 import oracles
@@ -103,6 +106,19 @@ class TestAnalyticW:
     def test_full_noise(self):
         w, f = analytic_w(NoiseSpec("depolarizing", 1.0))
         assert w == 0.75 and f == 0.25
+
+    def test_tolerated_noise_meets_the_ball_rate(self, capsys, optimal_witness, ks18):
+        # The oracle's w is linear in p through 0; its slope is a dyadic
+        # float, so Fraction holds it exactly.
+        slope = Fraction(analytic_w(NoiseSpec("depolarizing", 1.0))[0])
+        for p in (0.0, 0.5, 0.25):
+            assert Fraction(analytic_w(NoiseSpec("depolarizing", p))[0]) == slope * Fraction(p)
+        _, w_cross, _ = oracles.expected_ball_attack_stats(ks18, optimal_witness.witness)
+        p_star = w_cross / slope
+        assert p_star == Fraction(4, 27)
+        assert main(["analyze"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert Fraction(*doc["tolerated_noise"]) == p_star
 
 
 class TestSamplingDensityAgreement:

@@ -229,10 +229,24 @@ class TestAnalyze:
         assert doc["profiles_ok"] is True
         assert doc["entangled_count"] == 6
 
+        # The exact rates come last, in the order they are derived.
+        assert list(doc)[-3:] == ["ball_w_cross", "threshold", "tolerated_noise"]
+        assert doc["ball_w_cross"] == doc["threshold"] == [1, 9]
+        assert doc["tolerated_noise"] == [4, 27]
+
     def test_failed_expectation_exits_1(self, run, monkeypatch):
         monkeypatch.setattr(ksset, "parity_lower_bound", lambda ks: 3)
         code, out = run("analyze")
         assert code == 1 and json.loads(out)["parity_bound"] == 3
+
+    # The ball attack's rate must be the threshold itself: a threshold the
+    # derivation does not reach fails `analyze`.
+    def test_threshold_off_the_ball_rate_exits_1(self, run, monkeypatch):
+        monkeypatch.setattr(adversary, "W_THRESHOLD", Fraction(1, 10))
+        code, out = run("analyze")
+        doc = json.loads(out)
+        assert code == 1 and doc["ball_w_cross"] == [1, 9]
+        assert doc["threshold"] == [1, 10] and doc["tolerated_noise"] == [2, 15]
 
 
 class TestColorMismatch:
