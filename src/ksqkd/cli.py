@@ -205,8 +205,8 @@ def cmd_analyze(args) -> int:
     ks = ksset.builtin_ks18()
     mismatch = ksset.min_symbol_mismatch(ks)
     # A sifted cross-basis round is uniform over the rays, so the optimal
-    # ball labeling errs on min_mismatch of them.  Noise alone stays below
-    # the threshold that rate must reach while p < threshold / (3/4).
+    # ball labeling errs on min_mismatch of them.  Depolarizing noise alone,
+    # w = 3p/4, stays below the threshold while p < threshold / (3/4).
     ball_w_cross = Fraction(mismatch.mismatch_count, len(ks.vectors))
     doc = {
         "colorings": ksset.enumerate_valid_colorings(ks).count,
