@@ -166,57 +166,6 @@ class TestBadSetFile:
         assert out == "" and err.startswith("error: ") and str(p) in err
 
 
-def set_text(ks, name):
-    """A set file that writes `ks` in its own basis order, naming vector v
-    `name(v.id)`."""
-    lines = [f"vector {name(v.id)}: " + " ".join(map(str, v.raw_amps)) for v in ks.vectors]
-    lines += [f"basis {b.label}: " + " ".join(str(name(m)) for m in b.members)
-              for b in ks.bases]
-    return "\n".join(lines) + "\n"
-
-
-class TestFileIds:
-    """Reports name a set file's vectors by the file's ids.  Each file here
-    is written in its set's basis order, so the set numbers its vectors
-    as before and only the names in the report change."""
-
-    def test_verify(self, run, tmp_path, ks18):
-        # Vector 0, the ray 1 0 0 0, broken: verify names it and three rays.
-        broken = ks18._replace(
-            vectors=(ks18.vectors[0]._replace(raw_amps=(1, 0, 0, 5)), *ks18.vectors[1:]))
-        want = str(ksset.verify_ks_structure(broken))
-        assert want.count("not orthogonal") == 3
-        p = tmp_path / "reversed.ks"
-        p.write_text(set_text(broken, lambda i: 17 - i))
-        code, out = run("verify", "--set", str(p))
-        assert code == 1
-        assert out == re.sub(r"\d+", lambda m: str(17 - int(m[0])), want) + "\n"
-
-    def test_mismatch(self, run, tmp_path):
-        permuted = Path(__file__).parent / "golden" / "permuted.ks"
-        code, out = run("mismatch", "--set", str(permuted))
-        want = json.loads(out)
-        p = tmp_path / "permuted-reversed.ks"
-        p.write_text(set_text(ksset.parse_set_file(permuted.read_text()), lambda i: 17 - i))
-        code, out = run("mismatch", "--set", str(p))
-        doc = json.loads(out)
-        assert code == 0 and doc["witness"] == want["witness"]
-        assert doc["defective_ids"] == sorted(17 - i for i in want["defective_ids"])
-
-    def test_color(self, run, tmp_path, ks18):
-        from oracles import subset_ks
-
-        sub = subset_ks(ksset, ks18, {"II", "III", "VI"})
-        colorings = ksset.enumerate_valid_colorings(sub).colorings
-        assert len(colorings) == 14
-        file_id = [5, 2, 8, 0, 7, 3, 6, 1, 4]
-        p = tmp_path / "colorable.ks"
-        p.write_text(set_text(sub, file_id.__getitem__))
-        code, out = run("color", "--set", str(p))
-        assert code == 0 and json.loads(out) == {
-            "colorings": 14, "list": [[file_id[i] for i in c] for c in colorings]}
-
-
 class TestAnalyze:
     def test_builtin_document(self, run):
         code, out = run("analyze")
