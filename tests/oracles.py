@@ -369,11 +369,12 @@ def reference_run_rounds(config, ks=None):
     )
 
 
-def exact_round_distribution(adversary, noise, checked=True):
-    """The exact probability of each tallied class of a builtin-set round.
+def exact_round_distribution(adversary, noise, checked=True, ks=None):
+    """The exact probability of each tallied class of a round on ``ks``,
+    the builtin set by default.
 
     The kernel reads each uniform only through its cell ``floor(m u)``,
-    m in {9, 4, den}, and the noise draw only through ``u < p``.  So the
+    m in {nb, 4, den}, and the noise draw only through ``u < p``.  So the
     midpoint of every cell of the columns a scenario reads, fed through
     the production ``kernel.simulate_rounds``, gives every distinct round
     once, each with the measure of its cell, and :func:`estimate_error_stats`
@@ -387,7 +388,7 @@ def exact_round_distribution(adversary, noise, checked=True):
     Returns a ``SessionReport`` whose counts are Fractions summing to 1,
     so every figure of it is exact.
     """
-    tables = kernel.build_tables(ksset.builtin_ks18())
+    tables = kernel.build_tables(ks or ksset.builtin_ks18())
     nb, den = len(tables.ks.bases), tables.den
     born = cells(den) if adversary.kind != "ball" else MID
     eve = {"none": (MID, MID), "ball": (cells(4), MID),

@@ -1,8 +1,11 @@
 """Hand-built uniform draws that steer the round kernel to chosen rounds,
 grids of them that reach every round there is, a whole session's log and
-report text in one call each, and ball labelings with chosen defects."""
+report text in one call each, ball labelings with chosen defects, and the
+environment of a child process that runs the CLI."""
 
 import io
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -100,3 +103,16 @@ def make_assignment_with_defects(ks, witness, extra: int) -> SymbolAssignment:
             if len(ksset.defective_vectors(ks, cand)) == len(base) + extra:
                 return cand
     raise AssertionError(f"no perturbation adds exactly {extra} defects")
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# A C locale without UTF-8 coercion or UTF-8 mode: the locale encoding is ASCII.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def child_env(**extra):
+    """This process's environment with the checkout's `src` first on
+    PYTHONPATH and then `extra` set, for a child that runs the CLI."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else ""), **extra}

@@ -7,16 +7,18 @@ with no stdout; ``tests/golden/bad_input.json`` holds its exit code and
 stderr, with the checkout path written as ``<checkout>``.  The files are
 written once from a trusted tree with
 ``PYTHONPATH=src python tests/test_golden.py`` and only compared
-afterwards.  The commands that need only exact arithmetic must give the
-same output with NumPy and ``dataclasses`` unimportable, and ``simulate``
-and ``sweep`` with ``dataclasses`` unimportable.
+afterwards.  Every case of the commands that need only exact arithmetic,
+golden and bad input, and ``--help`` must also give the same output in a
+child of a bare venv, one with nothing installed, in an ASCII locale,
+with ``PYTHONPATH`` set to ``src`` alone and ``dataclasses`` unimportable
+too.  ``simulate`` and ``sweep`` must give the same output with
+``dataclasses`` unimportable.
 """
 
 import contextlib
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from ksqkd.cli import main
+from steering import ASCII_LOCALE, SRC, child_env
 
 GOLDEN = Path(__file__).parent / "golden"
 CHECKOUT = str(GOLDEN.parent.parent)
@@ -129,6 +132,7 @@ BAD_CASES = {
     "set-directory": ["verify", "--set", str(BAD)],
     "set-vector-in-no-basis": ["verify", "--set", str(BAD / "unnamed-vector.ks")],
     "set-repeated-ray": ["mismatch", "--set", str(BAD / "repeated-ray.ks")],
+    "set-garbage": ["verify", "--set", str(BAD / "garbage.ks")],
     **{
         f"config-{name}": ["simulate", "--certify", "--config", str(path)]
         for name, path in (
@@ -164,6 +168,8 @@ BAD_CASES = {
     "sweep-rounds": [*SWEEP, "--rounds", "0"],
     "sweep-check-fraction": [*SWEEP, "--check-fraction", "2"],
     "sweep-seed": [*SWEEP, "--seed", "-1"],
+    # The last point's seed, 2**64, needs 65 bits.
+    "sweep-seed-last-point": [*SWEEP, "--seed", str(2**64 - 2)],
     "sweep-start-nan": [*SWEEP, "--start", "nan"],
     "sweep-check-fraction-nan": [*SWEEP, "--check-fraction", "nan"],
 }
@@ -180,11 +186,15 @@ def run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_bad_input(argv):
-    """(exit code, stderr with the checkout path as a placeholder)."""
-    code, out, err = run_in_process(argv)
+def bad_input_row(code, out, err):
+    """A bad input's row: its exit code and its stderr with the checkout
+    path as a placeholder.  Its stdout must be empty."""
     assert out == ""
     return {"code": code, "stderr": err.replace(CHECKOUT, "<checkout>")}
+
+
+def run_bad_input(argv):
+    return bad_input_row(*run_in_process(argv))
 
 
 @pytest.mark.parametrize("name", BAD_CASES)
@@ -210,45 +220,52 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def child_env():
-    """This process's environment with the checkout's `src` first on
-    PYTHONPATH, for a child that runs the CLI."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+def run_without(modules: str, argv, python=sys.executable, **kwargs):
+    return subprocess.run([python, "-c", WITHOUT, modules, *argv],
+                          capture_output=True, text=True, **kwargs)
 
 
-def run_without(modules: str, argv):
-    return subprocess.run([sys.executable, "-c", WITHOUT, modules, *argv],
-                          capture_output=True, text=True, env=child_env())
+# Only these commands need NumPy.  Every other case, golden or bad input,
+# runs on a bare interpreter.
+NUMPY_COMMANDS = ("simulate", "sweep")
+BARE_CASES = {
+    **{name: argv for name, argv in {**CASES, **BAD_CASES}.items()
+       if argv[0] not in NUMPY_COMMANDS},
+    "--help": ["--help"],
+}
 
 
-def run_without_numpy(argv):
-    return run_without("numpy,dataclasses", argv)
+@pytest.fixture(scope="module")
+def bare_python(tmp_path_factory):
+    """The interpreter of a venv with nothing installed: its path holds
+    only the standard library, and user site-packages are off."""
+    venv = tmp_path_factory.mktemp("bare")
+    subprocess.run([sys.executable, "-m", "venv", "--without-pip", str(venv)], check=True)
+    return str(venv / "bin" / "python")
 
 
-@pytest.mark.parametrize("name", ["verify", "color", "mismatch", "analyze", "intercept",
-                                  "mismatch-permuted", "color-permuted",
-                                  "mismatch-repeated", "verify-non-ascii",
-                                  "verify-reversed", "mismatch-permuted-reversed",
-                                  "color-colorable"])
-def test_exact_commands_run_without_numpy(name):
-    proc = run_without_numpy(CASES[name])
-    assert proc.stderr == ""
-    assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
-    assert proc.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
-
-
-def test_help_runs_without_numpy():
-    proc = run_without_numpy(["--help"])
-    assert proc.returncode == 0, proc.stderr
+@pytest.mark.parametrize("name", BARE_CASES)
+def test_exact_commands_run_without_numpy(bare_python, tmp_path, name):
+    # In-process runs write to a UTF-8 capture; here stdout is ASCII.  The
+    # child's path gets `src` and, from its working directory, nothing.
+    proc = run_without("numpy,dataclasses", BARE_CASES[name], bare_python, cwd=tmp_path,
+                       env=child_env(PYTHONPATH=SRC, **ASCII_LOCALE))
+    if name in CASES:
+        assert proc.stderr == ""
+        assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
+        assert proc.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    elif name in BAD_CASES:
+        golden = json.loads((GOLDEN / "bad_input.json").read_text())
+        assert bad_input_row(proc.returncode, proc.stdout, proc.stderr) == golden[name]
+    else:
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # The NumPy commands declare their records as the exact ones do, with no
 # `dataclasses`.
 @pytest.mark.parametrize("name", ["simulate-intercept-noisy", "sweep"])
 def test_numpy_commands_run_without_dataclasses(name):
-    proc = run_without("dataclasses", CASES[name])
+    proc = run_without("dataclasses", CASES[name], env=child_env())
     assert proc.stderr == ""
     assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
     assert proc.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name]

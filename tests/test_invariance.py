@@ -16,6 +16,12 @@ repeated, so the parity bound is 0), and two sub-instances from
 labeling walk pins another basis.  Both sub-instances are colorable, so
 ``color`` lists their colorings.
 
+The kernel's exact round distribution, from the tables of four relabeled
+builtin files, must be the original's, as exact Fractions, for every
+adversary and noise a session accepts.  The optimal ball labeling is
+carried through each file's shuffle of positions.  Scaling a ray leaves
+every Born ratio, and with it the tables' denominator, unchanged.
+
 Left out:
 - Permuting a ray's four coordinates.  That is not a relabeling: some
   permutations act as a CNOT on the polarization and OAM qubits and
@@ -37,10 +43,12 @@ from pathlib import Path
 
 import pytest
 
-from ksqkd import ksset
-from ksqkd.adversary import exact_intercept_resend_w
+from ksqkd import kernel, ksset
+from ksqkd.adversary import AdversarySpec, exact_intercept_resend_w
+from ksqkd.channels import NoiseSpec
 from ksqkd.cli import main
-from oracles import subset_ks
+from ksqkd.ksset import SymbolAssignment
+from oracles import exact_round_distribution, subset_ks
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -194,3 +202,49 @@ def test_broken_ray_is_named(capsys, tmp_path, ks18, seed):
     for line in out.splitlines():
         assert str(file_id[r]) in re.findall(r"\d+", line.split(":")[1]), line
     check_commands(capsys, path, broken, answers(broken), file_id)
+
+
+def carried(assignment, original, ks, file_id):
+    """``assignment``, a labeling of ``original``, as the same labeling of
+    ``ks``, its relabeling with file ids ``file_id``: each ray keeps its
+    symbol in each of its bases."""
+    back = {f: i for i, f in enumerate(file_id)}
+    members = {b.label: b.members for b in original.bases}
+    return SymbolAssignment({
+        b.label: tuple(assignment.symbols[b.label][members[b.label].index(back[f])]
+                       for f in ks.file_ids(b.members))
+        for b in ks.bases
+    })
+
+
+# Every adversary and noise pair a session accepts: the ball takes no noise.
+DEPOLARIZING = NoiseSpec("depolarizing", 0.25)
+SCENARIOS = {
+    "none": ("none", NoiseSpec()),
+    "depolarizing": ("none", DEPOLARIZING),
+    "ball": ("ball", NoiseSpec()),
+    "intercept-resend": ("intercept_resend", NoiseSpec()),
+    "intercept-resend-depolarizing": ("intercept_resend", DEPOLARIZING),
+}
+
+
+@functools.cache
+def original_distribution(scenario):
+    """The ball labeling ``scenario`` runs on the builtin set, the optimal
+    one or None, and the set's exact round counts in ``scenario``."""
+    kind, noise = SCENARIOS[scenario]
+    builtin = ksset.builtin_ks18()
+    witness = ksset.min_symbol_mismatch(builtin).witness if kind == "ball" else None
+    return witness, exact_round_distribution(AdversarySpec(kind, witness), noise).counts
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_exact_round_distribution(ks18, scenario, seed):
+    text, file_id = relabeled(ks18, random.Random(seed))
+    ks = ksset.parse_set_file(text)
+    assert kernel.build_tables(ks).den == kernel.build_tables(ks18).den
+    kind, noise = SCENARIOS[scenario]
+    witness, counts = original_distribution(scenario)
+    assignment = carried(witness, ks18, ks, file_id) if witness else None
+    assert exact_round_distribution(AdversarySpec(kind, assignment), noise, ks=ks).counts == counts
