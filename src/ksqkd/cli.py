@@ -18,6 +18,7 @@ import argparse
 import atexit
 import contextlib
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -358,6 +359,10 @@ def _parse_args(argv) -> argparse.Namespace:
 # Whether `main` has registered its exit hook in this process.
 _freeze_at_exit = False
 
+# The builtin digest modules `hashlib` imports when OpenSSL is absent.
+_BUILTIN_DIGESTS = ("_md5", "_sha1", "_sha3", "_blake2",
+                    *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")))
+
 
 def main(argv=None) -> int:
     # The collections the interpreter runs as it exits would walk the 100k+
@@ -373,6 +378,15 @@ def main(argv=None) -> int:
     # threads as NumPy loads, which costs about 65 ms of start-up.  A value
     # the caller set wins.  Reconsider this line if a command ever uses BLAS.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # NumPy's `random` imports `secrets`, whose `hmac` binds OpenSSL's
+    # `_hashlib`; mapping libcrypto costs 3.4 MB of resident memory, yet no
+    # command hashes anything or draws unseeded entropy.  Blocked, `hmac` and
+    # `hashlib` fall back to the interpreter's builtin digests.  A process
+    # that holds OpenSSL already keeps it, and a build that lacks a builtin
+    # digest loads it, since there `hashlib` would log an error for each one
+    # it lacks.  Reconsider this line if a command ever needs OpenSSL.
+    if all(map(importlib.util.find_spec, _BUILTIN_DIGESTS)):
+        sys.modules.setdefault("_hashlib", None)
     try:
         args = _parse_args(argv)
         return args.fn(args)

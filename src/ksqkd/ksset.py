@@ -461,18 +461,20 @@ def entanglement_table(ks: KSSet) -> dict[int, bool]:
 def _read_records(text: str, record) -> None:
     """Call ``record(kind, name, fields)`` for each ``kind name: fields`` line.
 
-    Blank lines and ``#`` comments are skipped.  A ValueError or
-    IndexError from a line, in the split or in ``record``, becomes a
+    Blank lines and ``#`` comments are skipped.  A line of another form,
+    or a ValueError or IndexError from ``record``, becomes a
     SetFormatError that names the line.
     """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        head, colon, rest = line.partition(":")
+        words = head.split()
         try:
-            head, rest = line.split(":", 1)
-            kind, name = head.split()
-            record(kind, name, rest.split())
+            if not colon or len(words) != 2:
+                raise ValueError("expected a 'kind name: fields' line")
+            record(*words, rest.split())
         except (ValueError, IndexError) as exc:
             raise SetFormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
 

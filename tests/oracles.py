@@ -40,14 +40,15 @@ def brute_force_coloring_count(ks) -> int:
     return int(ok.sum())
 
 
-def _shared_pairs(ks):
-    out = []
-    for v in ks.vectors:
-        inc = ks.incidence[v.id]
-        if len(inc) == 2:
-            (l1, p1), (l2, p2) = inc
-            out.append((basis_index(ks, l1), p1, basis_index(ks, l2), p2, v.id))
-    return out
+def _ties(ks):
+    """(basis, position, basis, position, vector id) for each pair of
+    consecutive incidences of a vector: a vector is not defective iff all
+    its ties hold."""
+    return [
+        (basis_index(ks, l1), p1, basis_index(ks, l2), p2, v.id)
+        for v in ks.vectors
+        for (l1, p1), (l2, p2) in itertools.pairwise(ks.incidence[v.id])
+    ]
 
 
 def _product_scan(ks):
@@ -98,15 +99,16 @@ def lex_min_witness(ks) -> dict:
 def defect_subset_min_mismatch(ks, upper: int) -> int:
     """Minimum mismatch via feasibility of candidate defect sets.
 
-    For k = 0, 1, ... try every k-subset D of shared vectors: a labeling
-    whose defects all lie inside D exists iff the graph whose nodes are
-    the equality-components of basis positions (positions tied together
-    by non-defective shared vectors) admits a proper 4-coloring in which
-    each basis's four components take distinct colors.  The first
-    feasible k is the minimum.
+    For k = 0, 1, ... try every k-subset D of shared vectors, those in
+    two or more bases: a labeling whose defects all lie inside D exists
+    iff the graph whose nodes are the equality-components of basis
+    positions (positions tied together by every incidence of each
+    non-defective vector) admits a proper 4-coloring in which each
+    basis's four components take distinct colors.  The first feasible k
+    is the minimum.
     """
-    shared = _shared_pairs(ks)
-    shared_ids = [vid for *_, vid in shared]
+    ties = _ties(ks)
+    shared_ids = list(dict.fromkeys(vid for *_, vid in ties))
 
     def feasible(defects: set) -> bool:
         # union-find over (basis index, position) nodes
@@ -119,7 +121,7 @@ def defect_subset_min_mismatch(ks, upper: int) -> int:
                 x = parent[x]
             return x
 
-        for b1, p1, b2, p2, vid in shared:
+        for b1, p1, b2, p2, vid in ties:
             if vid not in defects:
                 parent[find((b1, p1))] = find((b2, p2))
         comps = {}

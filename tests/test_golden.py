@@ -12,7 +12,8 @@ golden and bad input, and ``--help`` must also give the same output in a
 child of a bare venv, one with nothing installed, in an ASCII locale,
 with ``PYTHONPATH`` set to ``src`` alone and ``dataclasses`` unimportable
 too.  ``simulate`` and ``sweep`` must give the same output with
-``dataclasses`` unimportable.
+``dataclasses`` unimportable, and in a child whose CLI keeps OpenSSL
+unloaded.
 """
 
 import contextlib
@@ -133,6 +134,7 @@ BAD_CASES = {
     "set-vector-in-no-basis": ["verify", "--set", str(BAD / "unnamed-vector.ks")],
     "set-repeated-ray": ["mismatch", "--set", str(BAD / "repeated-ray.ks")],
     "set-garbage": ["verify", "--set", str(BAD / "garbage.ks")],
+    "set-three-word-head": ["color", "--set", str(BAD / "three-word-head.ks")],
     **{
         f"config-{name}": ["simulate", "--certify", "--config", str(path)]
         for name, path in (
@@ -269,6 +271,55 @@ def test_numpy_commands_run_without_dataclasses(name):
     assert proc.stderr == ""
     assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
     assert proc.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+
+
+# Runs its first argument, then the CLI with its report to a file, then
+# prints whether OpenSSL's `_hashlib` is loaded and whether libcrypto is
+# mapped, None where there is no /proc/self/maps.
+OPENSSL = """\
+import sys
+from pathlib import Path
+exec(sys.argv.pop(1))
+from ksqkd.cli import main
+code = main(sys.argv[1:])
+maps = Path("/proc/self/maps")
+print(code, sys.modules.get("_hashlib") is not None,
+      "libcrypto" in maps.read_text() if maps.exists() else None)
+"""
+MAPS = Path("/proc/self/maps").exists()
+
+
+def run_openssl(tmp_path, preamble, name):
+    """The child's OpenSSL state, as printed, after checking that its report
+    and exit code are case `name`'s golden ones and its stderr is empty."""
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", OPENSSL, preamble, *CASES[name],
+                           "--out", str(out)],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.stderr == ""
+    assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+    code, *state = proc.stdout.split()
+    assert int(code) == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    return state
+
+
+# No command hashes anything, so the NumPy commands run without OpenSSL,
+# and write the bytes the in-process runs write with it loaded.
+@pytest.mark.parametrize("name", ["simulate-intercept-noisy-100k", "sweep"])
+def test_numpy_commands_load_no_openssl(tmp_path, name):
+    assert run_openssl(tmp_path, "", name) == ["False", "False" if MAPS else "None"]
+
+
+def test_process_holding_openssl_keeps_it(tmp_path):
+    state = run_openssl(tmp_path, "import hashlib", "simulate-intercept-noisy-100k")
+    assert state == ["True", "True" if MAPS else "None"]
+
+
+# Without OpenSSL, `hashlib` would log an error to stderr for the missing md5.
+def test_missing_builtin_digest_loads_openssl(tmp_path):
+    state = run_openssl(tmp_path, "sys.modules['_md5'] = None",
+                        "simulate-intercept-noisy-100k")
+    assert state[0] == "True"
 
 
 # `python -m ksqkd.cli` is how a shell runs the CLI: unlike the in-process

@@ -33,6 +33,26 @@ TWO_DISJOINT = ONE_BASIS + (
 )
 
 
+def peres24():
+    """Peres' 24 rays in R^4 and their 24 orthogonal tetrads of ray indices.
+
+    The rays are the unit vectors, then ``e_i + e_j`` and ``e_i - e_j`` for
+    i < j, then ``(1, +-1, +-1, +-1)``; the tetrads come in lexicographic
+    order.
+    """
+    rays = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    for i, j in itertools.combinations(range(4), 2):
+        for sign in (1, -1):
+            rays.append(tuple({i: 1, j: sign}.get(k, 0) for k in range(4)))
+    rays += [(1, *signs) for signs in itertools.product((1, -1), repeat=3)]
+    tetrads = [
+        t for t in itertools.combinations(range(len(rays)), 4)
+        if all(sum(x * y for x, y in zip(rays[a], rays[b])) == 0
+               for a, b in itertools.combinations(t, 2))
+    ]
+    return rays, tetrads
+
+
 def home_bases(ks, vector_id):
     return {lab for lab, _ in ks.incidence[vector_id]}
 
@@ -278,6 +298,7 @@ class TestMinMismatch:
         ks = build_set([(f"B{i}", tuple(e[v] for v in m)) for i, m in enumerate(ids)])
         rep = min_symbol_mismatch(ks)
         assert rep.mismatch_count == oracles.naive_min_mismatch(ks) == 1
+        assert oracles.defect_subset_min_mismatch(ks, 4) == 1
         assert rep.witness.symbols == oracles.lex_min_witness(ks)
 
     def test_random_structures_match_oracles(self):
@@ -294,11 +315,33 @@ class TestMinMismatch:
             )
             rep = min_symbol_mismatch(ks)
             assert rep.mismatch_count == oracles.naive_min_mismatch(ks)
+            assert rep.mismatch_count == oracles.defect_subset_min_mismatch(
+                ks, len(ks.vectors))
             assert rep.witness.symbols == oracles.lex_min_witness(ks)
             assert (
                 enumerate_valid_colorings(ks).count
                 == oracles.brute_force_coloring_count(ks)
             )
+
+    def test_peres_sub_instances_match_oracles(self):
+        # Three of the four tetrads around one of Peres' rays, and up to two
+        # more: orthogonal sets with a ray in three bases, which the
+        # defect-subset oracle ties across all of them.  No set of five or
+        # fewer of Peres' tetrads has a positive minimum; the random
+        # structures above reach one.
+        rays, tetrads = peres24()
+        rng = random.Random(3)
+        for _ in range(12):
+            ray = rng.randrange(len(rays))
+            around = [t for t in tetrads if ray in t]
+            others = [t for t in tetrads if ray not in t]
+            chosen = rng.sample(around, 3) + rng.sample(others, rng.randint(0, 2))
+            ks = build_set([(f"T{i}", tuple(rays[v] for v in t))
+                            for i, t in enumerate(chosen)])
+            assert max(map(len, ks.incidence.values())) >= 3
+            minimum = min_symbol_mismatch(ks).mismatch_count
+            assert minimum == oracles.naive_min_mismatch(ks)
+            assert minimum == oracles.defect_subset_min_mismatch(ks, len(ks.vectors))
 
     def test_walk_proves_builtin_minimum(self, ks18):
         # The bounds below the parity bound are never walked by the search;
