@@ -26,22 +26,24 @@ SRC = str(ROOT / "src")
 MEMORY_LIMIT_MB = 50
 LONG_ROUNDS = 40_000_000
 
+# Builds Peres' 24 rays and 24 tetrads as a set, and prints the
+# defect-subset oracle's minimum mismatch on it, searched up to 4; a
+# larger minimum raises.
+PERES24 = """\
+from ksqkd import ksset
+import oracles
+from test_ksset import peres24
+rays, tetrads = peres24()
+ks = ksset.build_set([(f"T{i}", tuple(rays[v] for v in t)) for i, t in enumerate(tetrads)])
+print(oracles.defect_subset_min_mismatch(ks, 4))
+"""
+
 # (workload, --trace) of each benchmark run whose gates are checked.
 GATE_RUNS = (
     ("simulate-ball", 0), ("simulate-intercept-noisy", 0), ("sweep-noise", 0),
     ("structure", 0), ("simulate-ball", 1), ("structure", 1),
     ("simulate-intercept-noisy", 1),
 )
-
-
-def golden_tests_under_fixed_hash_seeds() -> bool:
-    """The golden tests with string-hash randomisation off (0) and fixed."""
-    return all(
-        subprocess.run([sys.executable, "-m", "pytest", "-q", "tests/test_golden.py"],
-                       cwd=ROOT, env={**os.environ, "PYTHONPATH": SRC,
-                                      "PYTHONHASHSEED": seed}).returncode == 0
-        for seed in ("0", "12345")
-    )
 
 
 def bounded_memory_at_4e7_rounds() -> bool:
@@ -71,7 +73,8 @@ def bounded_memory_at_4e7_rounds() -> bool:
 
 def benchmark_gates_on_every_workload() -> bool:
     """Each run of `perfbench/run.py` reports its gates passed on its last
-    line: correct, and no operation failed."""
+    line: correct, and no operation failed.
+    A run whose last line is no such result fails, and the next one runs."""
     ok = True
     for workload, trace in GATE_RUNS:
         proc = subprocess.run(
@@ -79,15 +82,32 @@ def benchmark_gates_on_every_workload() -> bool:
              "--seed", "1", "--seconds", "5", "--trace", str(trace)],
             cwd=ROOT, stdout=subprocess.PIPE, text=True)
         print(proc.stdout, end="", flush=True)
-        result = json.loads(proc.stdout.splitlines()[-1])
-        ok = ok and result["correct"] is True and result["failed"] == 0
+        try:
+            result = json.loads(proc.stdout.splitlines()[-1])
+            passed = result["correct"] is True and result["failed"] == 0
+        except (IndexError, KeyError, TypeError, ValueError):
+            print(f"{workload} --trace {trace}: exit {proc.returncode} with no result line",
+                  file=sys.stderr, flush=True)
+            passed = False
+        ok = ok and passed
     return ok
 
 
+def peres24_oracle_minimum() -> bool:
+    """The defect-subset oracle in `tests/oracles.py` finds minimum mismatch
+    4 on Peres' 24 rays in their 24 tetrads."""
+    proc = subprocess.run([sys.executable, "-c", PERES24], cwd=ROOT, stdout=subprocess.PIPE,
+                          text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              (SRC, str(ROOT / "tests")))})
+    print(f"Peres-24 minimum mismatch: {proc.stdout.strip() or 'none'}, "
+          f"exit {proc.returncode}", flush=True)
+    return proc.returncode == 0 and proc.stdout == "4\n"
+
+
 STEPS = {step.__name__: step for step in (
-    golden_tests_under_fixed_hash_seeds,
     bounded_memory_at_4e7_rounds,
     benchmark_gates_on_every_workload,
+    peres24_oracle_minimum,
 )}
 
 

@@ -110,6 +110,13 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # A C locale without UTF-8 coercion or UTF-8 mode: the locale encoding is ASCII.
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
+# The environment of every child that checks a golden: the ASCII locale, a
+# BLAS pool of 4 threads where the CLI would start one, string hashing
+# fixed where the test process's is random, and an EncodingWarning on
+# stderr from any `open` that takes the locale's encoding.
+GOLDEN_ENV = {**ASCII_LOCALE, "OPENBLAS_NUM_THREADS": "4", "PYTHONHASHSEED": "0",
+              "PYTHONWARNDEFAULTENCODING": "1"}
+
 
 def child_env(**extra):
     """This process's environment with the checkout's `src` first on

@@ -1,10 +1,13 @@
-"""The CI workflow runs its multi-command steps from ``tests/ci_steps.py``."""
+"""The CI workflow runs its multi-command steps from ``tests/ci_steps.py``,
+whose benchmark step reads every run's result, or its lack of one."""
 
 import ast
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ci_steps
 
@@ -38,3 +41,43 @@ def test_unknown_step_exits_2():
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("unknown step 'no_such_step'")
+
+
+def benchmark_stub(monkeypatch, outputs):
+    """Makes the benchmark runs print `outputs` in turn, and returns the
+    list the runs' argv are appended to."""
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append(argv)
+        stdout = outputs[len(calls) - 1]
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout)
+
+    monkeypatch.setattr(ci_steps.subprocess, "run", run)
+    return calls
+
+
+PASSED = 'workload w\n{"correct": true, "attempted": 3, "failed": 0, "metrics": {}}\n'
+
+
+@pytest.mark.parametrize("bad", ["", "workload w\nTraceback\n", '{"correct": true}\n'],
+                         ids=["no-output", "no-json", "no-failed-count"])
+def test_benchmark_run_without_result_fails_and_the_rest_run(monkeypatch, capsys, bad):
+    outputs = [PASSED] * len(ci_steps.GATE_RUNS)
+    outputs[1] = bad
+    calls = benchmark_stub(monkeypatch, outputs)
+    assert ci_steps.benchmark_gates_on_every_workload() is False
+    assert len(calls) == len(ci_steps.GATE_RUNS)
+    workload, trace = ci_steps.GATE_RUNS[1]
+    assert capsys.readouterr().err.startswith(f"{workload} --trace {trace}: exit ")
+
+
+@pytest.mark.parametrize("result, passed", [
+    ('{"correct": true, "failed": 0}', True),
+    ('{"correct": false, "failed": 0}', False),
+    ('{"correct": true, "failed": 1}', False),
+])
+def test_benchmark_gates_read_the_last_line(monkeypatch, capsys, result, passed):
+    benchmark_stub(monkeypatch, [f"workload w\n{result}\n"] * len(ci_steps.GATE_RUNS))
+    assert ci_steps.benchmark_gates_on_every_workload() is passed
+    assert capsys.readouterr().err == ""

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ksqkd import adversary, cli, kernel, ksset
+from ksqkd import adversary, cli, kernel, ksset, protocol
 from ksqkd.cli import ConfigError, build_parser, load_config, main
 from steering import ASCII_LOCALE, child_env
 
@@ -325,6 +325,15 @@ class TestSweep:
                         "--rounds", "10000")
         assert code == 0 and len(calls) == 1
         assert out == (Path(__file__).parent / "golden" / "sweep.out").read_text()
+
+    # The parser cannot import `protocol` without NumPy, so it repeats
+    # these defaults.
+    def test_defaults_are_session_defaults(self):
+        args = build_parser().parse_args(["sweep", "--start", "0", "--stop", "1",
+                                          "--points", "2"])
+        fields = ("rounds", "seed", "check_fraction")
+        assert ({name: getattr(args, name) for name in fields}
+                == {name: protocol.SessionConfig._field_defaults[name] for name in fields})
 
 
 class TestClosedStdout:

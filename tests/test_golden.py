@@ -7,15 +7,25 @@ with no stdout; ``tests/golden/bad_input.json`` holds its exit code and
 stderr, with the checkout path written as ``<checkout>``.  The files are
 written once from a trusted tree with
 ``PYTHONPATH=src python tests/test_golden.py`` and only compared
-afterwards.  Every case of the commands that need only exact arithmetic,
-golden and bad input, and ``--help`` must also give the same output in a
-child of a bare venv, one with nothing installed, in an ASCII locale,
-with ``PYTHONPATH`` set to ``src`` alone and ``dataclasses`` unimportable
-too.  ``simulate`` and ``sweep`` must give the same output with
-``dataclasses`` unimportable, and in a child whose CLI keeps OpenSSL
-unloaded.
+afterwards.
+
+Every case runs in-process, under this interpreter's random string-hash
+seed, and again in one child in ``steering.GOLDEN_ENV``: an ASCII locale,
+a BLAS pool of 4 threads, hash seed 0 and a warning on any ``open`` that
+takes the locale's encoding.  Every other child here runs in that
+environment too:
+
+- every case of the commands that need only exact arithmetic, golden and
+  bad input, and ``--help``, in a child of a bare venv, one with nothing
+  installed, with ``PYTHONPATH`` set to ``src`` alone and ``dataclasses``
+  unimportable too;
+- every ``simulate`` and ``sweep`` case with ``dataclasses`` unimportable;
+- the NumPy commands' OpenSSL children and ``python -m ksqkd.cli``.
+
+No module of the package may hold a check that ``python -O`` strips.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -27,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from ksqkd.cli import main
-from steering import ASCII_LOCALE, SRC, child_env
+from steering import GOLDEN_ENV, SRC, child_env
 
 GOLDEN = Path(__file__).parent / "golden"
 CHECKOUT = str(GOLDEN.parent.parent)
@@ -67,11 +77,8 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_output_matches_golden(capsys, name):
-    code = main(CASES[name])
-    out = capsys.readouterr().out
-    assert out == (GOLDEN / f"{name}.out").read_text()
-    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+def test_output_matches_golden(name):
+    assert_golden(name, *run_case(name))
 
 
 # 10^6-round sessions, tens of chunks of protocol.CHUNK_ROUNDS, held
@@ -92,12 +99,8 @@ DIGEST_CASES = {
 
 
 @pytest.mark.parametrize("name", DIGEST_CASES)
-def test_output_matches_golden_digest(capsys, name):
-    argv, digest, want_code = DIGEST_CASES[name]
-    code = main(argv)
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert code == want_code
+def test_output_matches_golden_digest(name):
+    assert_golden(name, *run_case(name))
 
 
 # A report is written in pieces, its keys a chunk at a time: `--out` must
@@ -199,10 +202,35 @@ def run_bad_input(argv):
     return bad_input_row(*run_in_process(argv))
 
 
+def run_case(name):
+    """(exit code, stdout, stderr) of case `name` run in-process, with
+    stdout as its SHA-256 for a digest case."""
+    if name in DIGEST_CASES:
+        code, out, err = run_in_process(DIGEST_CASES[name][0])
+        return code, hashlib.sha256(out.encode()).hexdigest(), err
+    return run_in_process({**CASES, **BAD_CASES}[name])
+
+
+def assert_golden(name, code, out, err):
+    """Case `name` gave its stored exit code, stdout (or digest) and stderr:
+    the bad input row, or else no stderr at all."""
+    if name in BAD_CASES:
+        golden = json.loads((GOLDEN / "bad_input.json").read_text())
+        assert bad_input_row(code, out, err) == golden[name]
+        return
+    if name in DIGEST_CASES:
+        _, want_out, want_code = DIGEST_CASES[name]
+    else:
+        want_out = (GOLDEN / f"{name}.out").read_text()
+        want_code = json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    assert err == ""
+    assert out == want_out
+    assert code == want_code
+
+
 @pytest.mark.parametrize("name", BAD_CASES)
 def test_bad_input_matches_golden(name):
-    golden = json.loads((GOLDEN / "bad_input.json").read_text())
-    assert run_bad_input(BAD_CASES[name]) == golden[name]
+    assert_golden(name, *run_case(name))
 
 
 @pytest.mark.parametrize("name", BAD_CASES)
@@ -251,26 +279,57 @@ def test_exact_commands_run_without_numpy(bare_python, tmp_path, name):
     # In-process runs write to a UTF-8 capture; here stdout is ASCII.  The
     # child's path gets `src` and, from its working directory, nothing.
     proc = run_without("numpy,dataclasses", BARE_CASES[name], bare_python, cwd=tmp_path,
-                       env=child_env(PYTHONPATH=SRC, **ASCII_LOCALE))
-    if name in CASES:
-        assert proc.stderr == ""
-        assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
-        assert proc.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
-    elif name in BAD_CASES:
-        golden = json.loads((GOLDEN / "bad_input.json").read_text())
-        assert bad_input_row(proc.returncode, proc.stdout, proc.stderr) == golden[name]
-    else:
+                       env=child_env(PYTHONPATH=SRC, **GOLDEN_ENV))
+    if name == "--help":
         assert (proc.returncode, proc.stderr) == (0, "")
+    else:
+        assert_golden(name, proc.returncode, proc.stdout, proc.stderr)
 
 
 # The NumPy commands declare their records as the exact ones do, with no
 # `dataclasses`.
-@pytest.mark.parametrize("name", ["simulate-intercept-noisy", "sweep"])
+@pytest.mark.parametrize("name", [name for name, argv in CASES.items()
+                                  if argv[0] in NUMPY_COMMANDS])
 def test_numpy_commands_run_without_dataclasses(name):
-    proc = run_without("dataclasses", CASES[name], env=child_env())
-    assert proc.stderr == ""
-    assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
-    assert proc.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    proc = run_without("dataclasses", CASES[name], env=child_env(**GOLDEN_ENV))
+    assert_golden(name, proc.returncode, proc.stdout, proc.stderr)
+
+
+# Prints, as one JSON object, `run_case` of every case above, run in a
+# child whose path has this directory first.
+EVERY_CASE = """\
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_golden import BAD_CASES, CASES, DIGEST_CASES, run_case
+print(json.dumps({name: run_case(name) for name in [*CASES, *DIGEST_CASES, *BAD_CASES]}))
+"""
+
+
+@pytest.fixture(scope="module")
+def golden_env_results():
+    proc = subprocess.run([sys.executable, "-c", EVERY_CASE, str(GOLDEN.parent)],
+                          capture_output=True, text=True, env=child_env(**GOLDEN_ENV))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("name", [*CASES, *DIGEST_CASES, *BAD_CASES])
+def test_golden_env_child_matches_golden(golden_env_results, name):
+    assert_golden(name, *golden_env_results[name])
+
+
+# `python -O` strips every `assert` and makes `__debug__` False, so a check
+# in the package written with either one would vanish under it.
+def test_package_has_no_check_that_python_O_strips():
+    stripped = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((Path(SRC) / "ksqkd").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
+    assert stripped == []
 
 
 # Runs its first argument, then the CLI with its report to a file, then
@@ -284,7 +343,7 @@ from ksqkd.cli import main
 code = main(sys.argv[1:])
 maps = Path("/proc/self/maps")
 print(code, sys.modules.get("_hashlib") is not None,
-      "libcrypto" in maps.read_text() if maps.exists() else None)
+      b"libcrypto" in maps.read_bytes() if maps.exists() else None)
 """
 MAPS = Path("/proc/self/maps").exists()
 
@@ -295,7 +354,7 @@ def run_openssl(tmp_path, preamble, name):
     out = tmp_path / "out"
     proc = subprocess.run([sys.executable, "-c", OPENSSL, preamble, *CASES[name],
                            "--out", str(out)],
-                          capture_output=True, text=True, env=child_env())
+                          capture_output=True, text=True, env=child_env(**GOLDEN_ENV))
     assert proc.stderr == ""
     assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
     code, *state = proc.stdout.split()
@@ -351,7 +410,7 @@ def test_process_entry_matches_golden(monkeypatch, tmp_path, name):
     code, stdout, stderr = run_in_process(argv)
     out.unlink(missing_ok=True)
     proc = subprocess.run([sys.executable, "-m", "ksqkd.cli", *argv],
-                          capture_output=True, env=child_env())
+                          capture_output=True, env=child_env(**GOLDEN_ENV))
     if name in ARGPARSE_CODES:
         want = ARGPARSE_CODES[name], stdout.encode()
     elif name in BAD_CASES:
