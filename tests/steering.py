@@ -1,10 +1,13 @@
 """Hand-built uniform draws that steer the round kernel to chosen rounds,
 grids of them that reach every round there is, a whole session's log and
 report text in one call each, ball labelings with chosen defects, and the
-environment of a child process that runs the CLI."""
+environment and runner of a child process that runs the CLI."""
 
 import io
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,20 +109,33 @@ def make_assignment_with_defects(ks, witness, extra: int) -> SymbolAssignment:
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+RUNNER = str(Path(__file__).with_name("cli_runner.py"))
 
-# A C locale without UTF-8 coercion or UTF-8 mode: the locale encoding is ASCII.
-ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-
-# The environment of every child that checks a golden: the ASCII locale, a
-# BLAS pool of 4 threads where the CLI would start one, string hashing
-# fixed where the test process's is random, and an EncodingWarning on
-# stderr from any `open` that takes the locale's encoding.
-GOLDEN_ENV = {**ASCII_LOCALE, "OPENBLAS_NUM_THREADS": "4", "PYTHONHASHSEED": "0",
-              "PYTHONWARNDEFAULTENCODING": "1"}
+# The environment of every child that runs the CLI: an ASCII locale (C, no
+# UTF-8 coercion or mode), a BLAS pool of 4 threads where the CLI would start
+# one, hash seed 0 where the test process's is random, and two warnings on
+# stderr, which each test holds to its expected text: an EncodingWarning from
+# an `open` that takes the locale's encoding, and in development mode the
+# ResourceWarning of a file left open.
+GOLDEN_ENV = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+              "OPENBLAS_NUM_THREADS": "4", "PYTHONHASHSEED": "0",
+              "PYTHONWARNDEFAULTENCODING": "1", "PYTHONDEVMODE": "1"}
 
 
 def child_env(**extra):
     """This process's environment with the checkout's `src` first on
-    PYTHONPATH and then `extra` set, for a child that runs the CLI."""
+    PYTHONPATH, then `GOLDEN_ENV`, then `extra`, for a child that runs the
+    CLI.  A variable given as None is left unset."""
     path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else ""), **extra}
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else ""),
+           **GOLDEN_ENV, **extra}
+    return {name: value for name, value in env.items() if value is not None}
+
+
+def cli_child(runs, python=sys.executable, cwd=None, env=None, **request):
+    """The reply of a child that ran `cli_runner.py` on `runs`, {name: argv},
+    and `request`, in `env` or else `child_env()`, and exited 0 silently."""
+    proc = subprocess.run([python, RUNNER], input=json.dumps({"runs": runs, **request}),
+                          capture_output=True, text=True, cwd=cwd, env=env or child_env())
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    return json.loads(proc.stdout)

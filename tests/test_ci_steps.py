@@ -1,5 +1,6 @@
-"""The CI workflow runs its multi-command steps from ``tests/ci_steps.py``,
-whose benchmark step reads every run's result, or its lack of one."""
+"""The CI workflow runs pytest once, as tier-1, and its multi-command steps
+from ``tests/ci_steps.py``, whose benchmark step reads every run's result,
+or its lack of one."""
 
 import ast
 import re
@@ -11,7 +12,8 @@ import pytest
 
 import ci_steps
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 SCRIPT = Path(ci_steps.__file__)
 
 
@@ -24,6 +26,14 @@ def test_workflow_and_script_name_the_same_steps():
         assert name == step.replace("_", " ")
     # Every other step is one command.
     assert "run: |" not in text and text.count("python tests/ci_steps.py") == len(called)
+
+
+# Tier-1 checks every environment a rerun would, so none comes back.
+def test_workflow_runs_pytest_once_as_tier_1():
+    (tier_1,) = re.findall(r"^\*\*Tier-1 verify:\*\* `(.*)`$",
+                           (ROOT / "ROADMAP.md").read_text(encoding="utf-8"), re.M)
+    runs = re.findall(r"^ *(?:- )?run: (.*)$", WORKFLOW.read_text(), re.M)
+    assert [run for run in runs if "pytest" in run and "pip install" not in run] == [tier_1]
 
 
 def test_script_needs_only_the_standard_library():

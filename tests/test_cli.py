@@ -12,7 +12,7 @@ import pytest
 
 from ksqkd import adversary, cli, kernel, ksset, protocol
 from ksqkd.cli import ConfigError, build_parser, load_config, main
-from steering import ASCII_LOCALE, child_env
+from steering import child_env, cli_child
 
 BALL_CONFIG = """\
 [session]
@@ -354,13 +354,9 @@ class TestClosedStdout:
             config = tmp_path / "c.ini"
             config.write_text("[session]\nrounds = 1000\n")
             argv = ["simulate", "--certify", "--config", str(config)]
-        env = child_env()
-        env.pop("PYTHONUNBUFFERED", None)
-        if not buffered:
-            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.run([sys.executable, "-m", "ksqkd.cli", *argv],
-                              stdout=stdout, stderr=subprocess.PIPE,
-                              text=True, env=env)
+                              stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env=child_env(PYTHONUNBUFFERED=None if buffered else "1"))
         return proc.returncode, proc.stderr
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
@@ -440,7 +436,7 @@ class TestLocale:
 
     def run_in_c_locale(self, *argv):
         return subprocess.run([sys.executable, "-m", "ksqkd.cli", *argv],
-                              capture_output=True, text=True, env=child_env(**ASCII_LOCALE))
+                              capture_output=True, text=True, env=child_env())
 
     def test_set_file_with_non_ascii_comment(self, tmp_path, ks18_text):
         p = tmp_path / "ks18.ks"
@@ -524,33 +520,22 @@ class TestReadme:
 class TestBlasThreads:
     """No command calls BLAS, so the CLI starts NumPy with one BLAS thread."""
 
-    CHILD = (
-        "import os, sys\n"
-        "from ksqkd import cli\n"
-        "code = cli.main(['simulate', '--config', sys.argv[1], '--out', os.devnull])\n"
-        "print(code, len(os.listdir('/proc/self/task')),"
-        " os.environ['OPENBLAS_NUM_THREADS'])\n"
-    )
-
-    def run_simulate(self, tmp_path, **blas_env):
-        """Exit code, thread count and OPENBLAS_NUM_THREADS of a child
-        that ran `simulate` with only `blas_env` of the BLAS variable."""
+    def run_simulate(self, tmp_path, blas):
+        """Exit code, thread count and OPENBLAS_NUM_THREADS of a child that
+        ran `simulate` with OPENBLAS_NUM_THREADS `blas`, None for unset."""
         config = tmp_path / "c.ini"
         config.write_text("[session]\nrounds = 1000\n")
-        env = child_env()
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        env.update(blas_env)
-        proc = subprocess.run([sys.executable, "-c", self.CHILD, str(config)],
-                              capture_output=True, text=True, env=env)
-        assert proc.stderr == ""
-        return proc.stdout.split()
+        reply = cli_child({"simulate": ["simulate", "--config", str(config)]},
+                          env=child_env(OPENBLAS_NUM_THREADS=blas))
+        state = reply["state"]
+        return reply["runs"]["simulate"][0], state["threads"], state["OPENBLAS_NUM_THREADS"]
 
     def test_one_thread_by_default(self, tmp_path):
-        assert self.run_simulate(tmp_path) == ["0", "1", "1"]
+        assert self.run_simulate(tmp_path, None) == (0, 1, "1")
 
     def test_caller_value_kept(self, tmp_path):
-        code, _, value = self.run_simulate(tmp_path, OPENBLAS_NUM_THREADS="2")
-        assert (code, value) == ("0", "2")
+        code, _, value = self.run_simulate(tmp_path, "2")
+        assert (code, value) == (0, "2")
 
 
 class TestIntercept:

@@ -9,26 +9,21 @@ written once from a trusted tree with
 ``PYTHONPATH=src python tests/test_golden.py`` and only compared
 afterwards.
 
-Every case runs in-process, under this interpreter's random string-hash
-seed, and again in one child in ``steering.GOLDEN_ENV``: an ASCII locale,
-a BLAS pool of 4 threads, hash seed 0 and a warning on any ``open`` that
-takes the locale's encoding.  Every other child here runs in that
-environment too:
-
-- every case of the commands that need only exact arithmetic, golden and
-  bad input, and ``--help``, in a child of a bare venv, one with nothing
-  installed, with ``PYTHONPATH`` set to ``src`` alone and ``dataclasses``
-  unimportable too;
-- every ``simulate`` and ``sweep`` case with ``dataclasses`` unimportable;
-- the NumPy commands' OpenSSL children and ``python -m ksqkd.cli``.
+Every case runs in-process through ``cli_runner.run``, under this
+interpreter's random string-hash seed, and again in two batch children of
+``cli_runner.py``, which return (code, stdout or digest, stderr) per case:
+one runs the commands that need only exact arithmetic, and ``--help``, on a
+bare venv (nothing installed, ``PYTHONPATH`` set to ``src`` alone), the
+other every case; ``dataclasses`` is unimportable in both.  Every child
+here, the OpenSSL ones and ``python -m ksqkd.cli`` too, runs in
+``steering.GOLDEN_ENV``: an ASCII locale, a BLAS pool of 4 threads, hash
+seed 0, a warning on any ``open`` that takes the locale's encoding, and
+development mode.
 
 No module of the package may hold a check that ``python -O`` strips.
 """
 
 import ast
-import contextlib
-import hashlib
-import io
 import json
 import subprocess
 import sys
@@ -36,8 +31,9 @@ from pathlib import Path
 
 import pytest
 
+from cli_runner import run
 from ksqkd.cli import main
-from steering import GOLDEN_ENV, SRC, child_env
+from steering import SRC, child_env, cli_child
 
 GOLDEN = Path(__file__).parent / "golden"
 CHECKOUT = str(GOLDEN.parent.parent)
@@ -76,11 +72,6 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_output_matches_golden(name):
-    assert_golden(name, *run_case(name))
-
-
 # 10^6-round sessions, tens of chunks of protocol.CHUNK_ROUNDS, held
 # as the SHA-256 of stdout and the exit code.  The digests were taken
 # once from a trusted tree and are never regenerated.
@@ -98,8 +89,8 @@ DIGEST_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", DIGEST_CASES)
-def test_output_matches_golden_digest(name):
+@pytest.mark.parametrize("name", [*CASES, *DIGEST_CASES])
+def test_output_matches_golden(name):
     assert_golden(name, *run_case(name))
 
 
@@ -180,15 +171,8 @@ BAD_CASES = {
 }
 
 
-def run_in_process(argv):
-    """(exit code, stdout, stderr) of `main(argv)`, SystemExit included."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+EVERY_CASE = [*CASES, *DIGEST_CASES, *BAD_CASES]
+ARGV = {**CASES, **{name: case[0] for name, case in DIGEST_CASES.items()}, **BAD_CASES}
 
 
 def bad_input_row(code, out, err):
@@ -198,25 +182,22 @@ def bad_input_row(code, out, err):
     return {"code": code, "stderr": err.replace(CHECKOUT, "<checkout>")}
 
 
-def run_bad_input(argv):
-    return bad_input_row(*run_in_process(argv))
-
-
 def run_case(name):
     """(exit code, stdout, stderr) of case `name` run in-process, with
     stdout as its SHA-256 for a digest case."""
-    if name in DIGEST_CASES:
-        code, out, err = run_in_process(DIGEST_CASES[name][0])
-        return code, hashlib.sha256(out.encode()).hexdigest(), err
-    return run_in_process({**CASES, **BAD_CASES}[name])
+    return run(ARGV[name], name in DIGEST_CASES)
+
+
+def bad_input_rows():
+    """The committed bad-input rows, by case name."""
+    return json.loads((GOLDEN / "bad_input.json").read_text())
 
 
 def assert_golden(name, code, out, err):
     """Case `name` gave its stored exit code, stdout (or digest) and stderr:
     the bad input row, or else no stderr at all."""
     if name in BAD_CASES:
-        golden = json.loads((GOLDEN / "bad_input.json").read_text())
-        assert bad_input_row(code, out, err) == golden[name]
+        assert bad_input_row(code, out, err) == bad_input_rows()[name]
         return
     if name in DIGEST_CASES:
         _, want_out, want_code = DIGEST_CASES[name]
@@ -233,26 +214,20 @@ def test_bad_input_matches_golden(name):
     assert_golden(name, *run_case(name))
 
 
+# Each run is tied to its row above, so the rows hold for the runs.
 @pytest.mark.parametrize("name", BAD_CASES)
 def test_bad_input_prints_one_error_line(name):
-    stderr = run_bad_input(BAD_CASES[name])["stderr"]
+    stderr = bad_input_rows()[name]["stderr"]
     assert stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr[-1] == "\n"
 
 
-# Runs the CLI in a fresh interpreter in which importing any module that
-# its first argument names, comma-separated, fails.
-WITHOUT = """\
-import sys
-for name in sys.argv.pop(1).split(","):
-    sys.modules[name] = None
-from ksqkd.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-
-
-def run_without(modules: str, argv, python=sys.executable, **kwargs):
-    return subprocess.run([python, "-c", WITHOUT, modules, *argv],
-                          capture_output=True, text=True, **kwargs)
+# So a captured string is compared as strongly as a C-locale stdout's bytes:
+# an ASCII stream writes nothing else.
+def test_golden_text_is_ascii():
+    texts = [path.read_bytes() for path in sorted(GOLDEN.glob("*.out"))]
+    texts += [row["stderr"] for row in bad_input_rows().values()]
+    assert len(texts) == len(CASES) + len(BAD_CASES)
+    assert all(text.isascii() for text in texts)
 
 
 # Only these commands need NumPy.  Every other case, golden or bad input,
@@ -266,57 +241,36 @@ BARE_CASES = {
 
 
 @pytest.fixture(scope="module")
-def bare_python(tmp_path_factory):
-    """The interpreter of a venv with nothing installed: its path holds
-    only the standard library, and user site-packages are off."""
+def bare_runs(tmp_path_factory):
+    """Every bare case, run in one child on the interpreter of a venv with
+    nothing installed: its path holds only the standard library, user
+    site-packages are off, `PYTHONPATH` is `src` alone, and `numpy` and
+    `dataclasses` are unimportable."""
     venv = tmp_path_factory.mktemp("bare")
     subprocess.run([sys.executable, "-m", "venv", "--without-pip", str(venv)], check=True)
-    return str(venv / "bin" / "python")
+    return cli_child(BARE_CASES, python=str(venv / "bin" / "python"), cwd=venv,
+                     env=child_env(PYTHONPATH=SRC), block=["numpy", "dataclasses"])["runs"]
 
 
 @pytest.mark.parametrize("name", BARE_CASES)
-def test_exact_commands_run_without_numpy(bare_python, tmp_path, name):
-    # In-process runs write to a UTF-8 capture; here stdout is ASCII.  The
-    # child's path gets `src` and, from its working directory, nothing.
-    proc = run_without("numpy,dataclasses", BARE_CASES[name], bare_python, cwd=tmp_path,
-                       env=child_env(PYTHONPATH=SRC, **GOLDEN_ENV))
+def test_exact_commands_run_without_numpy(bare_runs, name):
+    code, out, err = bare_runs[name]
     if name == "--help":
-        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (code, err) == (0, "")
     else:
-        assert_golden(name, proc.returncode, proc.stdout, proc.stderr)
+        assert_golden(name, code, out, err)
 
 
-# The NumPy commands declare their records as the exact ones do, with no
-# `dataclasses`.
-@pytest.mark.parametrize("name", [name for name, argv in CASES.items()
-                                  if argv[0] in NUMPY_COMMANDS])
-def test_numpy_commands_run_without_dataclasses(name):
-    proc = run_without("dataclasses", CASES[name], env=child_env(**GOLDEN_ENV))
-    assert_golden(name, proc.returncode, proc.stdout, proc.stderr)
-
-
-# Prints, as one JSON object, `run_case` of every case above, run in a
-# child whose path has this directory first.
-EVERY_CASE = """\
-import json
-import sys
-sys.path.insert(0, sys.argv[1])
-from test_golden import BAD_CASES, CASES, DIGEST_CASES, run_case
-print(json.dumps({name: run_case(name) for name in [*CASES, *DIGEST_CASES, *BAD_CASES]}))
-"""
-
-
+# Every case, the NumPy commands' included, runs without `dataclasses`.
 @pytest.fixture(scope="module")
-def golden_env_results():
-    proc = subprocess.run([sys.executable, "-c", EVERY_CASE, str(GOLDEN.parent)],
-                          capture_output=True, text=True, env=child_env(**GOLDEN_ENV))
-    assert (proc.returncode, proc.stderr) == (0, "")
-    return json.loads(proc.stdout)
+def golden_env_runs():
+    return cli_child({name: ARGV[name] for name in EVERY_CASE},
+                     digest=list(DIGEST_CASES), block=["dataclasses"])["runs"]
 
 
-@pytest.mark.parametrize("name", [*CASES, *DIGEST_CASES, *BAD_CASES])
-def test_golden_env_child_matches_golden(golden_env_results, name):
-    assert_golden(name, *golden_env_results[name])
+@pytest.mark.parametrize("name", EVERY_CASE)
+def test_golden_env_child_matches_golden(golden_env_runs, name):
+    assert_golden(name, *golden_env_runs[name])
 
 
 # `python -O` strips every `assert` and makes `__debug__` False, so a check
@@ -332,53 +286,33 @@ def test_package_has_no_check_that_python_O_strips():
     assert stripped == []
 
 
-# Runs its first argument, then the CLI with its report to a file, then
-# prints whether OpenSSL's `_hashlib` is loaded and whether libcrypto is
-# mapped, None where there is no /proc/self/maps.
-OPENSSL = """\
-import sys
-from pathlib import Path
-exec(sys.argv.pop(1))
-from ksqkd.cli import main
-code = main(sys.argv[1:])
-maps = Path("/proc/self/maps")
-print(code, sys.modules.get("_hashlib") is not None,
-      b"libcrypto" in maps.read_bytes() if maps.exists() else None)
-"""
 MAPS = Path("/proc/self/maps").exists()
 
 
-def run_openssl(tmp_path, preamble, name):
-    """The child's OpenSSL state, as printed, after checking that its report
-    and exit code are case `name`'s golden ones and its stderr is empty."""
-    out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-c", OPENSSL, preamble, *CASES[name],
-                           "--out", str(out)],
-                          capture_output=True, text=True, env=child_env(**GOLDEN_ENV))
-    assert proc.stderr == ""
-    assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
-    code, *state = proc.stdout.split()
-    assert int(code) == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
-    return state
+def openssl_state(name, **request):
+    """`cli_runner.process_state()` of a child that ran case `name`, after
+    checking that the case gave its golden."""
+    reply = cli_child({name: CASES[name]}, **request)
+    assert_golden(name, *reply["runs"][name])
+    return reply["state"]["_hashlib"], reply["state"]["libcrypto"]
 
 
 # No command hashes anything, so the NumPy commands run without OpenSSL,
-# and write the bytes the in-process runs write with it loaded.
+# and write what the in-process runs write with it loaded.
 @pytest.mark.parametrize("name", ["simulate-intercept-noisy-100k", "sweep"])
-def test_numpy_commands_load_no_openssl(tmp_path, name):
-    assert run_openssl(tmp_path, "", name) == ["False", "False" if MAPS else "None"]
+def test_numpy_commands_load_no_openssl(name):
+    assert openssl_state(name) == (False, False if MAPS else None)
 
 
-def test_process_holding_openssl_keeps_it(tmp_path):
-    state = run_openssl(tmp_path, "import hashlib", "simulate-intercept-noisy-100k")
-    assert state == ["True", "True" if MAPS else "None"]
+def test_process_holding_openssl_keeps_it():
+    state = openssl_state("simulate-intercept-noisy-100k", preload=["hashlib"])
+    assert state == (True, True if MAPS else None)
 
 
 # Without OpenSSL, `hashlib` would log an error to stderr for the missing md5.
-def test_missing_builtin_digest_loads_openssl(tmp_path):
-    state = run_openssl(tmp_path, "sys.modules['_md5'] = None",
-                        "simulate-intercept-noisy-100k")
-    assert state[0] == "True"
+def test_missing_builtin_digest_loads_openssl():
+    state = openssl_state("simulate-intercept-noisy-100k", block=["_md5"])
+    assert state[0] is True
 
 
 # `python -m ksqkd.cli` is how a shell runs the CLI: unlike the in-process
@@ -392,6 +326,7 @@ OUT = "<out>"  # replaced by a file in the test's temporary directory
 ENTRY_CASES = {
     "analyze": ["analyze", "--out", OUT],
     "intercept": CASES["intercept"],
+    "verify-non-ascii": CASES["verify-non-ascii"],  # escaped on an ASCII stdout
     "simulate-intercept-noisy": CASES["simulate-intercept-noisy"],
     "sweep": CASES["sweep"],
     "config-missing": BAD_CASES["config-missing"],
@@ -407,14 +342,14 @@ def test_process_entry_matches_golden(monkeypatch, tmp_path, name):
     argv = [str(out) if arg == OUT else arg for arg in ENTRY_CASES[name]]
     # argparse wraps its help to COLUMNS, or else to the terminal's width.
     monkeypatch.setenv("COLUMNS", "80")
-    code, stdout, stderr = run_in_process(argv)
+    code, stdout, stderr = run(argv)
     out.unlink(missing_ok=True)
     proc = subprocess.run([sys.executable, "-m", "ksqkd.cli", *argv],
-                          capture_output=True, env=child_env(**GOLDEN_ENV))
+                          capture_output=True, env=child_env())
     if name in ARGPARSE_CODES:
         want = ARGPARSE_CODES[name], stdout.encode()
     elif name in BAD_CASES:
-        want = json.loads((GOLDEN / "bad_input.json").read_text())[name]["code"], b""
+        want = bad_input_rows()[name]["code"], b""
     else:
         want = (json.loads((GOLDEN / "exit_codes.json").read_text())[name],
                 (GOLDEN / f"{name}.out").read_bytes())
@@ -431,12 +366,8 @@ def test_process_entry_matches_golden(monkeypatch, tmp_path, name):
 if __name__ == "__main__":
     codes = {}
     for name, argv in CASES.items():
-        stdout, sys.stdout = sys.stdout, open(GOLDEN / f"{name}.out", "w")
-        try:
-            codes[name] = main(argv)
-        finally:
-            sys.stdout.close()
-            sys.stdout = stdout
+        codes[name], out, _ = run(argv)
+        (GOLDEN / f"{name}.out").write_text(out)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
-    bad = {name: run_bad_input(argv) for name, argv in BAD_CASES.items()}
+    bad = {name: bad_input_row(*run(argv)) for name, argv in BAD_CASES.items()}
     (GOLDEN / "bad_input.json").write_text(json.dumps(bad, indent=2) + "\n")
