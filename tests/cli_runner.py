@@ -38,10 +38,12 @@ def run(argv, digest=False):
 
 
 def process_state():
-    """Whether OpenSSL's `_hashlib` is loaded and libcrypto mapped, the
-    thread count and OPENBLAS_NUM_THREADS; None for a file /proc lacks."""
+    """Whether OpenSSL's `_hashlib`, `numpy` and `dataclasses` are loaded
+    and libcrypto mapped, the thread count and OPENBLAS_NUM_THREADS; None
+    for a file /proc lacks."""
     maps, task = Path("/proc/self/maps"), Path("/proc/self/task")
-    return {"_hashlib": sys.modules.get("_hashlib") is not None,
+    return {**{name: sys.modules.get(name) is not None
+               for name in ("_hashlib", "numpy", "dataclasses")},
             "libcrypto": b"libcrypto" in maps.read_bytes() if maps.exists() else None,
             "threads": len(os.listdir(task)) if task.is_dir() else None,
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}

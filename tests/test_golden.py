@@ -91,7 +91,7 @@ DIGEST_CASES = {
 
 @pytest.mark.parametrize("name", [*CASES, *DIGEST_CASES])
 def test_output_matches_golden(name):
-    assert_golden(name, *run_case(name))
+    assert_golden(name, *run(ARGV[name], name in DIGEST_CASES))
 
 
 # A report is written in pieces, its keys a chunk at a time: `--out` must
@@ -171,7 +171,6 @@ BAD_CASES = {
 }
 
 
-EVERY_CASE = [*CASES, *DIGEST_CASES, *BAD_CASES]
 ARGV = {**CASES, **{name: case[0] for name, case in DIGEST_CASES.items()}, **BAD_CASES}
 
 
@@ -180,12 +179,6 @@ def bad_input_row(code, out, err):
     path as a placeholder.  Its stdout must be empty."""
     assert out == ""
     return {"code": code, "stderr": err.replace(CHECKOUT, "<checkout>")}
-
-
-def run_case(name):
-    """(exit code, stdout, stderr) of case `name` run in-process, with
-    stdout as its SHA-256 for a digest case."""
-    return run(ARGV[name], name in DIGEST_CASES)
 
 
 def bad_input_rows():
@@ -211,7 +204,7 @@ def assert_golden(name, code, out, err):
 
 @pytest.mark.parametrize("name", BAD_CASES)
 def test_bad_input_matches_golden(name):
-    assert_golden(name, *run_case(name))
+    assert_golden(name, *run(BAD_CASES[name]))
 
 
 # Each run is tied to its row above, so the rows hold for the runs.
@@ -263,14 +256,23 @@ def test_exact_commands_run_without_numpy(bare_runs, name):
 
 # Every case, the NumPy commands' included, runs without `dataclasses`.
 @pytest.fixture(scope="module")
-def golden_env_runs():
-    return cli_child({name: ARGV[name] for name in EVERY_CASE},
-                     digest=list(DIGEST_CASES), block=["dataclasses"])["runs"]
+def golden_env_child():
+    return cli_child(ARGV, digest=list(DIGEST_CASES), block=["dataclasses"])
 
 
-@pytest.mark.parametrize("name", EVERY_CASE)
-def test_golden_env_child_matches_golden(golden_env_runs, name):
-    assert_golden(name, *golden_env_runs[name])
+@pytest.mark.parametrize("name", ARGV)
+def test_golden_env_child_matches_golden(golden_env_child, name):
+    assert_golden(name, *golden_env_child["runs"][name])
+
+
+# The NumPy commands declare their records as the exact ones do, with no
+# `dataclasses`: the child that ran them loaded NumPy and never that.
+@pytest.mark.parametrize("name", [name for name, argv in CASES.items()
+                                  if argv[0] in NUMPY_COMMANDS])
+def test_numpy_commands_run_without_dataclasses(golden_env_child, name):
+    state = golden_env_child["state"]
+    assert (state["numpy"], state["dataclasses"]) == (True, False)
+    assert_golden(name, *golden_env_child["runs"][name])
 
 
 # `python -O` strips every `assert` and makes `__debug__` False, so a check
