@@ -4,12 +4,12 @@ These deliberately take different routes than the implementation under
 test: bit-level enumeration for colorings, a vectorized product scan for
 the symbol-mismatch minimum and its lexicographically smallest witness, a
 graph-coloring formulation for the minimum, a direct squared overlap for
-ray equality, closed forms for the ball attack's and the depolarizing
-channel's error rates, a nested Fraction enumeration of the
-intercept-resend rates that calls ``qcore.exact_born`` itself instead of
-reading ``ksset.born_table``, and, for the vectorized round kernel, a
-per-round Python loop that searches Born numerators it derives itself
-from the set's integer amplitudes, with no use of the kernel's tables.
+ray equality, a closed form for the ball attack's error rates, a nested
+Fraction enumeration of the intercept-resend rates that calls
+``qcore.exact_born`` itself instead of reading ``ksset.born_table``, and,
+for the vectorized round kernel, a per-round Python loop that searches
+Born numerators it derives itself from the set's integer amplitudes, with
+no use of the kernel's tables.
 The exact round distribution takes the kernel's own route on purpose: it
 feeds it every cell of the uniforms it reads, to prove the map from cells
 to rounds that the kernel owns.
@@ -228,18 +228,6 @@ def intercept_resend_w(ks):
     w_cross = errors["cross"] / weight["cross"]
     w_overall = (errors["same"] + errors["cross"]) / (weight["same"] + weight["cross"])
     return w_same, w_cross, w_overall
-
-
-def analytic_w(spec):
-    """Exact (w, F) of a noise spec.
-
-    A depolarized round still lands on the correct detector with
-    probability 1/4, so w = p - p/4 = 3p/4.
-    """
-    if spec.kind == "none":
-        return 0.0, 1.0
-    w = 0.75 * spec.p
-    return w, 1.0 - w
 
 
 def exact_overlap_sq(u, v):

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from ksqkd import ksset
 from ksqkd.adversary import (
@@ -65,7 +64,7 @@ def test_criterion_3_minimum_mismatch(ks18):
     t0 = time.perf_counter()
     report = ksset.min_symbol_mismatch(ks18)
     dt = time.perf_counter() - t0
-    assert dt < 10.0, f"branch and bound took {dt:.3f}s"
+    assert dt < 10.0, f"labeling walk took {dt:.3f}s"
     assert report.mismatch_count == 2
     assert ksset.defective_vectors(ks18, report.witness) == report.defective_vector_ids
     # oracle equivalence on every sub-instance with at most 5 bases
@@ -80,7 +79,7 @@ def test_criterion_3_minimum_mismatch(ks18):
             ), keep
             checked += 1
     assert checked == sum(math.comb(9, k) for k in range(1, 6))
-    announce(3, f"parity bound 2 = branch-and-bound minimum 2 "
+    announce(3, f"parity bound 2 = labeling-walk minimum 2 "
                 f"({dt:.2f} s); naive oracle agrees on all {checked} "
                 "sub-instances with <= 5 bases")
 

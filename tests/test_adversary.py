@@ -1,5 +1,4 @@
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +7,10 @@ import pytest
 from ksqkd import ksset, qcore
 from ksqkd.adversary import AdversarySpec, exact_intercept_resend_w
 from ksqkd.ksset import SymbolAssignment, build_set
-from ksqkd.protocol import SessionConfig, run_session
 
 import oracles
 from oracles import expected_ball_attack_stats
-from steering import basis_index, centre, make_assignment_with_defects, steer
+from steering import basis_index, centre, steer
 
 
 def ball_round(ks, witness, alice, bob, readout_u=0.5):
@@ -121,21 +119,6 @@ class TestInterceptResendTransform:
         without = steer(ks18, centre(alice[0], 9), centre(alice[1], 4), centre(bob, 9), u)
         assert np.array_equal(with_eve["bob_outcome"], without["bob_outcome"])
 
-    def test_split_on_wrong_basis(self, ks18):
-        # (1,0,0,0) in basis VIII lands on (1,0,1,0) or (1,0,-1,0), half
-        # each; Bob measuring in VIII then reads which one Eve forwarded.
-        alice = (basis_index(ks18, "I"), 0)
-        assert ks18.vectors[ks18.bases[alice[0]].members[0]].raw_amps == (1, 0, 0, 0)
-        viii = basis_index(ks18, "VIII")
-        n = 4000
-        rng = np.random.default_rng(4)
-        cols = intercept_rounds(ks18, alice, viii, viii, rng.random(n), rng.random(n))
-        outcome = cols["bob_outcome"]
-        targets = [pos + 1 for pos, vid in enumerate(ks18.bases[viii].members)
-                   if ks18.vectors[vid].raw_amps in ((1, 0, 1, 0), (1, 0, -1, 0))]
-        assert sorted(set(outcome.tolist())) == sorted(targets)
-        assert abs((outcome == targets[0]).mean() - 0.5) <= 3 * math.sqrt(0.25 / n)
-
     def test_forwarded_ray_always_in_set(self, ks18):
         # The forwarded ray is a member of Eve's basis: Bob measuring in
         # that basis reads it deterministically, whatever his uniform.
@@ -186,55 +169,6 @@ class TestExactInterceptResend:
                     bob_basis = ks18.bases[basis_index(ks18, bob_label)]
                     bob = [raw[i] for i in bob_basis.members]
                     assert qcore.exact_born(amps[pos], bob)[bob_pos] == 1
-
-    def test_monte_carlo_matches(self, ks18):
-        w_same, w_cross, w_overall = exact_intercept_resend_w(ks18)
-        config = SessionConfig(
-            rounds=200_000, seed=12, check_fraction=1.0,
-            adversary=AdversarySpec("intercept_resend"),
-        )
-        stats = run_session(config)
-        for expect, got, n in (
-            (w_same, stats.w_same, stats.n_same),
-            (w_cross, stats.w_cross, stats.n_cross),
-            (w_overall, stats.w_overall, stats.n_checks),
-        ):
-            e = float(expect)
-            assert abs(got - e) <= 3 * math.sqrt(e * (1 - e) / n)
-
-
-class TestBallAttackMonteCarlo:
-    def test_no_same_basis_errors_over_many_rounds(self, ks18, optimal_witness):
-        config = SessionConfig(
-            rounds=1_000_000, seed=6, check_fraction=1.0,
-            adversary=AdversarySpec("ball", optimal_witness.witness),
-        )
-        stats = run_session(config)
-        assert stats.errors_same == 0
-
-    @pytest.mark.parametrize("extra", [0, 1, 2])
-    def test_w_cross_tracks_defect_count(self, ks18, optimal_witness, extra):
-        assignment = (
-            optimal_witness.witness if extra == 0
-            else make_assignment_with_defects(ks18, optimal_witness.witness, extra)
-        )
-        d = len(ksset.defective_vectors(ks18, assignment))
-        assert d == 2 + extra
-        config = SessionConfig(
-            rounds=1_000_000, seed=21 + extra, check_fraction=1.0,
-            adversary=AdversarySpec("ball", assignment),
-        )
-        stats = run_session(config)
-        expect = d / 18
-        assert abs(stats.w_cross - expect) <= 3 * math.sqrt(
-            expect * (1 - expect) / stats.n_cross
-        )
-
-
-def test_no_adversary_no_noise_is_error_free():
-    stats = run_session(SessionConfig(rounds=100_000, seed=2, check_fraction=1.0))
-    assert stats.errors_overall == 0
-    assert stats.w_overall == 0.0 and stats.w_same == 0.0 and stats.w_cross == 0.0
 
 
 def test_adversary_spec_validation():

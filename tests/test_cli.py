@@ -95,10 +95,6 @@ class TestLoadConfig:
 
 
 class TestVerify:
-    def test_builtin_passes(self, run):
-        code, out = run("verify")
-        assert code == 0 and "OK" in out
-
     def test_broken_set_exits_1(self, run, tmp_path, ks18_text):
         # Not vector 2's ray (0 0 1 1): a repeated ray is bad input.
         text = ks18_text.replace(
@@ -154,22 +150,6 @@ class TestBadSetFile:
 
 
 class TestAnalyze:
-    def test_builtin_document(self, run):
-        code, out = run("analyze")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["colorings"] == 0
-        assert doc["parity_bound"] == 2
-        assert doc["min_mismatch"] == 2
-        assert len(doc["defective_ids"]) == 2
-        assert doc["profiles_ok"] is True
-        assert doc["entangled_count"] == 6
-
-        # The exact rates come last, in the order they are derived.
-        assert list(doc)[-3:] == ["ball_w_cross", "threshold", "tolerated_noise"]
-        assert doc["ball_w_cross"] == doc["threshold"] == [1, 9]
-        assert doc["tolerated_noise"] == [4, 27]
-
     def test_failed_expectation_exits_1(self, run, monkeypatch):
         monkeypatch.setattr(ksset, "parity_lower_bound", lambda ks: 3)
         code, out = run("analyze")
@@ -183,23 +163,6 @@ class TestAnalyze:
         doc = json.loads(out)
         assert code == 1 and doc["ball_w_cross"] == [1, 9]
         assert doc["threshold"] == [1, 10] and doc["tolerated_noise"] == [2, 15]
-
-
-class TestColorMismatch:
-    def test_color_builtin(self, run):
-        code, out = run("color")
-        assert code == 0
-        assert json.loads(out) == {"colorings": 0, "list": []}
-
-    def test_mismatch_builtin(self, run):
-        code, out = run("mismatch")
-        doc = json.loads(out)
-        assert code == 0 and doc["min_mismatch"] == 2
-        ks = ksset.builtin_ks18()
-        witness = ksset.SymbolAssignment(
-            {lab: tuple(s) for lab, s in doc["witness"].items()}
-        )
-        assert ksset.defective_vectors(ks, witness) == doc["defective_ids"]
 
 
 class TestSimulate:
@@ -283,32 +246,6 @@ class TestSimulate:
 
 
 class TestSweep:
-    def test_csv_shape_and_determinism(self, run):
-        args = ("sweep", "--start", "0", "--stop", "0.3", "--points", "4",
-                "--rounds", "20000")
-        code, out1 = run(*args)
-        assert code == 0
-        _, out2 = run(*args)
-        assert out1 == out2
-        lines = out1.strip().split("\n")
-        assert lines[0] == "p,w_overall,w_same,w_cross,sift_rate,rounds_sifted,certified"
-        assert len(lines) == 5
-        first = lines[1].split(",")
-        assert first[0] == "0.0" and first[1] == "0.0" and first[6] == "true"
-
-    def test_rows_track_analytic_w(self, run):
-        code, out = run("sweep", "--start", "0", "--stop", "0.3", "--points", "7",
-                        "--rounds", "30000")
-        assert code == 0
-        import math
-        for line in out.strip().split("\n")[1:]:
-            cells = line.split(",")
-            p, w = float(cells[0]), float(cells[1])
-            n_checks = int(float(cells[5]) * 0.5)  # roughly half sifted checked
-            expect = 0.75 * p
-            band = 3 * math.sqrt(max(expect * (1 - expect), 1e-9) / n_checks) + 1e-9
-            assert abs(w - expect) <= band
-
     def test_last_point_is_stop(self, run):
         # 0.2 + 0.8 * 3 / 3 rounds to 1.0000000000000002, outside [0, 1].
         code, out = run("sweep", "--start", "0.2", "--stop", "1.0", "--points", "4",
@@ -539,14 +476,6 @@ class TestBlasThreads:
 
 
 class TestIntercept:
-    def test_exact_rates(self, run):
-        code, out = run("intercept")
-        doc = json.loads(out)
-        assert code == 0
-        assert doc["exceeds_threshold"] is True
-        num, den = doc["w_overall"]
-        assert num / den > 1 / 9
-
     @pytest.mark.parametrize("w_overall,exceeds", [
         (Fraction(1, 9), False),
         (Fraction(10**9 + 1, 9 * 10**9), True),

@@ -231,7 +231,6 @@ class TestExactRoundDistribution:
         r = oracles.exact_round_distribution(AdversarySpec(), noise)
         self.assert_sifting(r)
         assert r.w_overall == r.w_same == r.w_cross == Fraction(3, 4) * Fraction(p)
-        assert float(r.w_overall) == oracles.analytic_w(noise)[0]
 
     @pytest.mark.parametrize("extra", [0, 1, 2])
     def test_ball(self, ks18, optimal_witness, extra):

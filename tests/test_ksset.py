@@ -165,10 +165,6 @@ class TestColorings:
         monkeypatch.setattr(ksset, "COLORING_LIST_LIMIT", 63)
         assert enumerate_valid_colorings(three) == ksset.ColoringResult(64, [])
 
-    def test_brute_force_agrees_on_builtin(self, ks18):
-        assert oracles.brute_force_coloring_count(ks18) == 0
-        assert enumerate_valid_colorings(ks18).count == 0
-
     def test_brute_force_agrees_on_substructures(self, ks18):
         rng = random.Random(42)
         labels = [b.label for b in ks18.bases]
@@ -245,18 +241,6 @@ class TestMinMismatch:
 
     def test_matches_meets_parity_bound(self, ks18, optimal_witness):
         assert optimal_witness.mismatch_count == parity_lower_bound(ks18)
-
-    def test_oracle_equivalence_small_instances(self, ks18):
-        rng = random.Random(7)
-        labels = [b.label for b in ks18.bases]
-        for nb in (2, 3, 4, 5):
-            for _ in range(3):
-                keep = rng.sample(labels, nb)
-                sub = oracles.subset_ks(ksset, ks18, keep)
-                assert (
-                    min_symbol_mismatch(sub).mismatch_count
-                    == oracles.naive_min_mismatch(sub)
-                )
 
     def test_monotone_under_basis_removal(self, ks18):
         for drop in [b.label for b in ks18.bases]:

@@ -174,42 +174,6 @@ class TestSampling:
         ]
         assert single == batch.tolist()
 
-    def test_empirical_frequencies(self, ks18):
-        # (1,1,1,1) in basis I has probabilities (1/4, 1/4, 1/2, 0)
-        n = 100_000
-        u = np.random.default_rng(11).random(n)
-        outcomes = steer(ks18, *sending(ks18, 4), centre(0, 9), u)["bob_outcome"]
-        for k, p in enumerate([0.25, 0.25, 0.5, 0.0], start=1):
-            freq = (outcomes == k).mean()
-            band = 3 * math.sqrt(p * (1 - p) / n)
-            assert abs(freq - p) <= band
-
-    def test_chi_square_all_state_basis_pairs(self, ks18):
-        """Sampling law at significance 0.001 over all 162 in-set pairs."""
-        n = 100_000
-        nb = len(ks18.bases)
-        rng = np.random.default_rng(2024)
-        for v in ks18.vectors:
-            # n rounds of this state in each basis, basis after basis
-            bob_basis = np.repeat(np.arange(nb), n)
-            outcomes = steer(ks18, *sending(ks18, v.id), centre(bob_basis, nb),
-                             rng.random(nb * n))["bob_outcome"].reshape(nb, n)
-            for bi, b in enumerate(ks18.bases):
-                p = np.array(oracles.born_numerators(ks18, v.id, bi)) / 16
-                counts = np.bincount(outcomes[bi], minlength=5)[1:]
-                live = p > 0
-                assert counts[~live].sum() == 0
-                if live.sum() < 2:
-                    continue
-                expected = n * p[live]
-                stat = float((((counts[live] - expected) ** 2) / expected).sum())
-                # 2 or 3 live outcomes: the chi-square upper tail at 1 or 2
-                # degrees of freedom has a closed form.
-                dof = int(live.sum()) - 1
-                assert dof in (1, 2)
-                pval = math.erfc(math.sqrt(stat / 2)) if dof == 1 else math.exp(-stat / 2)
-                assert pval > 0.001, (v.id, b.label, pval)
-
 
 class TestEntanglement:
     def test_bell_like_state(self):
